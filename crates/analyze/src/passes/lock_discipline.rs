@@ -12,9 +12,11 @@
 //! `.read()`, `.write()` or a `…guard()` helper, optionally followed by
 //! `.unwrap()` / `.expect("…")`. The guard is considered live from its
 //! binding to the end of the enclosing block, or to an explicit
-//! `drop(name)`. Intentional inline builds (the synchronous
-//! `RebuildMode::Inline` fallback) carry a
-//! `// pof-analyze: allow(lock-discipline): …` waiver at the call site.
+//! `drop(name)`. Every rebuild mode, `RebuildMode::Inline` included, runs
+//! the same off-lock job; the only intentional under-lock builds are a
+//! policy decision of `RebuildUrgency::Immediate` and delta backpressure.
+//! Where such a build is reachable from a call made with a guard live, the
+//! call site carries a `// pof-analyze: allow(lock-discipline): …` waiver.
 
 use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;

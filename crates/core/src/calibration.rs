@@ -120,16 +120,25 @@ impl Calibrator {
     pub fn estimate_cpu_ghz() -> f64 {
         // Time a fixed number of dependent multiply-adds. On modern cores the
         // dependent chain retires ~1 imul per 3 cycles; calibrate with that.
-        const ITERS: u64 = 20_000_000;
-        let start = Instant::now();
+        // `black_box` on every step keeps the optimizer from folding the
+        // chain into fewer, wider steps, which over-reads the clock
+        // several-fold. The fastest of several rounds counts: being
+        // descheduled only ever slows a round down.
+        const ROUNDS: u64 = 5;
+        const ITERS: u64 = 4_000_000;
         let mut acc: u64 = 0x9E37_79B9;
-        for i in 0..ITERS {
-            acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
+        let mut fastest = f64::INFINITY;
+        for _ in 0..ROUNDS {
+            let start = Instant::now();
+            for i in 0..ITERS {
+                acc = std::hint::black_box(
+                    acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i),
+                );
+            }
+            fastest = fastest.min(start.elapsed().as_secs_f64());
         }
-        let elapsed = start.elapsed().as_secs_f64();
-        std::hint::black_box(acc);
         let cycles = ITERS as f64 * 3.0;
-        (cycles / elapsed / 1e9).clamp(0.5, 6.0)
+        (cycles / fastest / 1e9).clamp(0.5, 6.0)
     }
 
     /// Measure one configuration at one target filter size.
@@ -212,7 +221,22 @@ mod tests {
     #[test]
     fn cpu_frequency_estimate_is_plausible() {
         let ghz = Calibrator::estimate_cpu_ghz();
-        assert!((0.5..=6.0).contains(&ghz), "estimated {ghz} GHz");
+        // Strictly inside the clamp: a clamped value means the timing loop
+        // measured something other than the clock.
+        assert!(ghz > 0.5 && ghz < 6.0, "estimated {ghz} GHz");
+        // Where the kernel reports a nominal clock, agree with it within 2x.
+        let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+        let reported_mhz = cpuinfo
+            .lines()
+            .filter(|line| line.starts_with("cpu MHz"))
+            .find_map(|line| line.split(':').nth(1)?.trim().parse::<f64>().ok());
+        if let Some(mhz) = reported_mhz {
+            let reported = mhz / 1e3;
+            assert!(
+                ghz > reported / 2.0 && ghz < reported * 2.0,
+                "estimated {ghz} GHz, /proc/cpuinfo reports {reported} GHz"
+            );
+        }
     }
 
     #[test]

@@ -148,33 +148,18 @@ impl StoreBuilder {
         self
     }
 
-    /// Run policy-triggered rebuilds on a background maintainer thread
-    /// instead of inline under the shard's write lock.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use rebuild_mode(RebuildMode::Background) (or RebuildMode::Inline)"
-    )]
-    #[must_use]
-    pub fn background_rebuilds(mut self, background: bool) -> Self {
-        self.lifecycle.rebuild_mode = if background {
-            RebuildMode::Background
-        } else {
-            RebuildMode::Inline
-        };
-        self
-    }
-
-    /// Select the rebuild execution mode: [`RebuildMode::Inline`] (the
-    /// default — rebuilds run synchronously under the shard's write lock),
-    /// [`RebuildMode::Background`] (a saturating shard no longer stalls
-    /// writers for a full filter replay: the writer records a
-    /// pending-rebuild state and keeps serving, the maintainer builds the
-    /// replacement off-lock from the shard's replay log, re-acquires the
-    /// shard briefly to replay the bounded delta of writes that raced the
-    /// build, and publishes the replacement with a single `Arc` swap —
-    /// readers are wait-free in both modes, and
-    /// [`ShardedFilterStore::maintain`] doubles as a deterministic drain
-    /// barrier), or [`RebuildMode::Queued`], where rebuild jobs queue until
+    /// Select where rebuild jobs run. Every mode runs the same job: the
+    /// writer records a pending-rebuild state and keeps serving, the job
+    /// builds the replacement off-lock from the shard's replay log,
+    /// re-acquires the shard briefly to replay the bounded delta of writes
+    /// that raced the build, and publishes the replacement with a single
+    /// `Arc` swap; readers are wait-free throughout. With
+    /// [`RebuildMode::Inline`] (the default) the write call that requested
+    /// the rebuild runs the job itself before it returns;
+    /// [`RebuildMode::Background`] hands it to a maintainer thread, so a
+    /// saturating shard no longer stalls writers for a full filter replay
+    /// ([`ShardedFilterStore::maintain`] doubles as a deterministic drain
+    /// barrier); with [`RebuildMode::Queued`] rebuild jobs queue until
     /// the caller runs them via
     /// [`ShardedFilterStore::run_pending_rebuilds`]. Queued is the
     /// deterministic harness the interleaving and property tests drive, and
@@ -448,22 +433,6 @@ impl TieredStoreBuilder {
     #[must_use]
     pub fn lifecycle(mut self, lifecycle: LifecycleOptions) -> Self {
         self.lifecycle = lifecycle;
-        self
-    }
-
-    /// Run every level's policy-triggered rebuilds on that store's
-    /// background maintainer thread.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use rebuild_mode(RebuildMode::Background) (or RebuildMode::Inline)"
-    )]
-    #[must_use]
-    pub fn background_rebuilds(mut self, background: bool) -> Self {
-        self.lifecycle.rebuild_mode = if background {
-            RebuildMode::Background
-        } else {
-            RebuildMode::Inline
-        };
         self
     }
 

@@ -21,26 +21,26 @@
 //!   [`SelectionVector`](pof_filter::SelectionVector),
 //! * the shard **lifecycle is policy-driven**: a pluggable [`RebuildPolicy`]
 //!   decides when shards rebuild their filters and how large the rebuild is.
-//!   [`SaturationDoubling`] (the default) doubles inline the moment a shard
+//!   [`SaturationDoubling`] (the default) doubles the moment a shard
 //!   outgrows its capacity or its filter refuses a key; [`FprDrift`] rebuilds
 //!   when the modeled false-positive rate drifts past a budget multiple,
 //!   re-fitting (growing *or shrinking*) to the live key count;
 //!   [`DeferredBatch`] keeps writes latency-flat by parking overflow keys in
 //!   an exact side buffer (probed by readers, so nothing goes missing) and
 //!   folding them in on the next [`ShardedFilterStore::maintain`] call,
-//! * rebuilds can run **off the write path**: with
-//!   [`StoreBuilder::rebuild_mode`] ([`RebuildMode::Background`]) a
-//!   saturating shard no longer
-//!   stalls writers for a full filter replay — the writer records a
-//!   pending-rebuild state, a background maintainer builds the replacement
-//!   from the shard's replay log off-lock, re-acquires the shard briefly to
-//!   replay the bounded delta of writes that raced the build, and publishes
-//!   it with a single `Arc` swap. [`ShardedFilterStore::maintain`] doubles
-//!   as a deterministic drain barrier, and
-//!   [`ShardStats::max_writer_stall_ns`] /
+//! * every rebuild is **one job**: the writer records a pending-rebuild
+//!   state, the job builds the replacement from the shard's replay log
+//!   off-lock, re-acquires the shard briefly to replay the bounded delta of
+//!   writes that raced the build, and publishes it with a single `Arc`
+//!   swap. [`StoreBuilder::rebuild_mode`] picks who runs it: the write call
+//!   itself ([`RebuildMode::Inline`], the default), a maintainer thread
+//!   ([`RebuildMode::Background`]) or the caller phase by phase
+//!   ([`RebuildMode::Queued`]). Only
+//!   [`RebuildUrgency::Immediate`] or delta backpressure builds under the
+//!   shard lock. [`ShardedFilterStore::maintain`] doubles as a
+//!   deterministic drain barrier, and [`ShardStats::max_writer_stall_ns`] /
 //!   [`ShardStats::writer_rebuild_stall_ns`] make the tail-latency effect
-//!   measurable ([`RebuildMode::Queued`] exposes the same machinery one
-//!   phase at a time for deterministic interleaving tests),
+//!   measurable,
 //! * the store **deletes**: [`ShardedFilterStore::delete_batch`] removes
 //!   Cuckoo signatures in place and republishes; Bloom shards *tombstone* by
 //!   default — the key leaves [`ShardedFilterStore::key_count`] immediately

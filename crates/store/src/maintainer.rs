@@ -1,11 +1,12 @@
-//! The background rebuild subsystem: a maintainer that builds replacement
-//! shard filters off-lock and swaps them in atomically.
+//! The rebuild subsystem: a maintainer that builds replacement shard filters
+//! off-lock and swaps them in atomically.
 //!
 //! A policy-triggered rebuild is the one write-path operation that is O(shard
-//! size) instead of O(batch): with rebuilds inline, a saturating shard stalls
-//! every writer for the full replay. With a maintainer, the shard writer
-//! merely records a pending-rebuild state and hands the store a ticket; the
-//! maintainer then
+//! size) instead of O(batch). The shard writer does not build it under its
+//! lock (bar the fallbacks named below): it records a pending-rebuild state
+//! and hands the store a ticket.
+//! The store's maintainer — the calling thread itself
+//! ([`RebuildMode::Inline`]), a worker thread, or an explicit queue — then
 //!
 //! 1. briefly locks the writer to snapshot the shard's
 //!    [`CompactKeySet`](crate::ShardedFilterStore) replay log
@@ -18,9 +19,9 @@
 //!    with a single `Arc` swap ([`Shard::finish_rebuild`]).
 //!
 //! Tickets carry the writer's rebuild epoch: if the shard rebuilt by other
-//! means in the meantime (the backpressure fallback for shards that
-//! re-saturate mid-flight), the stale job is discarded instead of clobbering
-//! the newer filter.
+//! means in the meantime (the under-lock fallback for decisions of
+//! immediate urgency and for shards that re-saturate mid-flight), the stale
+//! job is discarded instead of clobbering the newer filter.
 
 use crate::shard::{RebuildPlan, RebuildTicket, Shard};
 use std::collections::VecDeque;
@@ -28,11 +29,21 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// How a store executes policy-triggered `Rebuild` decisions.
+/// Where a store executes policy-triggered `Rebuild` decisions.
+///
+/// Every mode runs the same job — key-set snapshot, off-lock build, delta
+/// replay, `Arc` swap. The only rebuilds that build under a shard's write
+/// lock, in every mode, are decisions the policy marks
+/// [`RebuildUrgency::Immediate`](crate::RebuildUrgency::Immediate) and the
+/// backpressure fallback for a shard that re-saturates while its job is in
+/// flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RebuildMode {
-    /// Rebuild inline under the shard's write lock — the classic (and
-    /// default) behavior, bit-for-bit identical to the pre-maintainer store.
+    /// The write call that requests a rebuild runs the job itself, on the
+    /// calling thread, right after its shard's slice of the batch and
+    /// before the call returns — the caller is the maintainer. The default.
+    /// Filters, key sets and rebuild counts match [`Queued`](Self::Queued)
+    /// drained after every call.
     #[default]
     Inline,
     /// Rebuild off-lock on a dedicated maintainer thread and swap the
@@ -80,10 +91,13 @@ pub(crate) struct Progress {
     done: Condvar,
 }
 
-/// The store's rebuild executor: a worker thread (background mode) or an
-/// explicit job queue (queued mode).
+/// The store's rebuild executor: the calling thread (inline mode), a worker
+/// thread (background mode) or an explicit job queue (queued mode).
 #[derive(Debug)]
 pub(crate) enum Maintainer {
+    Inline {
+        shards: Arc<Vec<Shard>>,
+    },
     Threaded {
         /// `Option` so `Drop` can hang up the channel before joining.
         sender: Option<Sender<Job>>,
@@ -97,25 +111,24 @@ pub(crate) enum Maintainer {
 }
 
 /// Run one job to completion: snapshot, off-lock build, delta replay, swap.
-/// Returns `false` if the ticket had gone stale and the job was discarded.
-fn execute(shards: &[Shard], job: Job) -> bool {
+/// A stale ticket is discarded.
+fn execute(shards: &[Shard], job: Job) {
     let shard = &shards[job.shard];
-    let Some(plan) = shard.begin_rebuild(job.ticket) else {
-        return false;
-    };
-    let (filter, capacity) = plan.build();
-    shard.finish_rebuild(job.ticket, filter, capacity)
+    if let Some(plan) = shard.begin_rebuild(job.ticket) {
+        let (filter, capacity) = plan.build();
+        shard.finish_rebuild(job.ticket, filter, capacity, None);
+    }
 }
 
 impl Maintainer {
-    /// Create the executor for `mode`; `None` for [`RebuildMode::Inline`].
-    pub(crate) fn new(mode: RebuildMode, shards: Arc<Vec<Shard>>) -> Option<Self> {
+    /// Create the executor for `mode`.
+    pub(crate) fn new(mode: RebuildMode, shards: Arc<Vec<Shard>>) -> Self {
         match mode {
-            RebuildMode::Inline => None,
-            RebuildMode::Queued => Some(Self::Queued {
+            RebuildMode::Inline => Self::Inline { shards },
+            RebuildMode::Queued => Self::Queued {
                 queue: Mutex::new(VecDeque::new()),
                 shards,
-            }),
+            },
             RebuildMode::Background => {
                 let (sender, receiver) = channel::<Job>();
                 let progress = Arc::new(Progress::default());
@@ -132,19 +145,21 @@ impl Maintainer {
                         }
                     })
                     .expect("spawning the maintainer thread failed");
-                Some(Self::Threaded {
+                Self::Threaded {
                     sender: Some(sender),
                     worker: Some(worker),
                     progress,
-                })
+                }
             }
         }
     }
 
-    /// Hand a shard's rebuild request to the executor.
+    /// Hand a shard's rebuild request to the executor (inline mode runs it
+    /// on the spot).
     pub(crate) fn enqueue(&self, shard: usize, ticket: RebuildTicket) {
         let job = Job { shard, ticket };
         match self {
+            Self::Inline { shards } => shards[shard].run_rebuild(ticket),
             Self::Threaded {
                 sender, progress, ..
             } => {
@@ -171,7 +186,7 @@ impl Maintainer {
     /// completed. The target is captured at entry — waiting on the live
     /// counter instead would chase jobs enqueued by concurrent writers and
     /// never return under sustained churn. In queued mode this runs the
-    /// whole queue on the calling thread.
+    /// whole queue on the calling thread; inline mode has nothing in flight.
     pub(crate) fn drain(&self) {
         match self {
             Self::Threaded { progress, .. } => {
@@ -181,7 +196,7 @@ impl Maintainer {
                     counts = progress.done.wait(counts).expect("progress poisoned");
                 }
             }
-            Self::Queued { .. } => {
+            Self::Inline { .. } | Self::Queued { .. } => {
                 self.run_pending(usize::MAX);
             }
         }
@@ -192,8 +207,9 @@ impl Maintainer {
     /// Returns how many phases ran; stale jobs are discarded and counted.
     pub(crate) fn run_pending(&self, limit: usize) -> usize {
         match self {
-            // The worker owns execution; callers use `drain`.
-            Self::Threaded { .. } => 0,
+            // Inline jobs never wait; the worker owns execution and
+            // callers use `drain`.
+            Self::Inline { .. } | Self::Threaded { .. } => 0,
             Self::Queued { queue, shards } => {
                 let mut ran = 0;
                 while ran < limit {
@@ -202,7 +218,7 @@ impl Maintainer {
                         None => break,
                         Some(QueuedStep::Request(job)) => {
                             // Stale tickets (the shard already rebuilt
-                            // inline) simply evaporate here.
+                            // under its lock) simply evaporate here.
                             if let Some(plan) = shards[job.shard].begin_rebuild(job.ticket) {
                                 queue
                                     .lock()
@@ -212,7 +228,7 @@ impl Maintainer {
                         }
                         Some(QueuedStep::Staged { job, plan }) => {
                             let (filter, capacity) = plan.build();
-                            shards[job.shard].finish_rebuild(job.ticket, filter, capacity);
+                            shards[job.shard].finish_rebuild(job.ticket, filter, capacity, None);
                         }
                     }
                     ran += 1;
@@ -225,6 +241,7 @@ impl Maintainer {
     /// Jobs enqueued but not yet completed.
     pub(crate) fn pending(&self) -> usize {
         match self {
+            Self::Inline { .. } => 0,
             Self::Threaded { progress, .. } => {
                 let counts = progress.counts.lock().expect("progress poisoned");
                 (counts.0 - counts.1) as usize

@@ -33,15 +33,15 @@ use std::sync::Arc;
 pub struct LifecycleOptions {
     /// When shards rebuild their filters and how rebuild capacity is chosen.
     pub policy: Arc<dyn RebuildPolicy>,
-    /// Where policy-triggered rebuilds execute: inline under the shard lock,
-    /// on a background maintainer thread, or queued for a deterministic
-    /// harness.
+    /// Where policy-triggered rebuild jobs run: on the calling thread before
+    /// the write call returns, on a background maintainer thread, or queued
+    /// for a deterministic harness (see [`RebuildMode`]).
     pub rebuild_mode: RebuildMode,
 }
 
 impl Default for LifecycleOptions {
-    /// [`SaturationDoubling`] with inline rebuilds — the store's classic
-    /// synchronous behavior.
+    /// [`SaturationDoubling`] with inline rebuilds: every write call finishes
+    /// the rebuilds it requested before it returns.
     fn default() -> Self {
         Self {
             policy: Arc::new(SaturationDoubling),

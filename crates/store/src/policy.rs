@@ -19,23 +19,22 @@
 
 use pof_core::{AnyFilter, FilterConfig};
 
-/// How urgently a [`RebuildDecision::Rebuild`] must take effect, for stores
-/// that run a background maintainer
-/// ([`StoreBuilder::background_rebuilds`](crate::StoreBuilder::background_rebuilds)).
+/// How urgently a [`RebuildDecision::Rebuild`] must take effect.
 ///
-/// Synchronous stores ignore urgency (every rebuild is inline). Background
-/// stores consult it at decision time: a `Deferrable` rebuild is handed to
-/// the maintainer (the writer stays latency-flat; the triggering key remains
-/// visible through the current filter or the exact overflow buffer), an
-/// `Immediate` one runs inline under the shard lock even in background mode
-/// — the escape hatch for policies whose decision *enforces a hard bound*
-/// that deferral would violate.
+/// Shard writers consult it at decision time, whatever the store's
+/// [`RebuildMode`](crate::RebuildMode): a `Deferrable` rebuild becomes a
+/// job for the maintainer (the triggering key remains visible through the
+/// current filter or the exact overflow buffer until the swap), an
+/// `Immediate` one builds right away under the shard lock — the escape
+/// hatch for policies whose decision *enforces a hard bound* that deferral
+/// would violate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RebuildUrgency {
     /// The rebuild may run off-lock on the maintainer (the default).
     #[default]
     Deferrable,
-    /// The rebuild must run inline, even when background rebuilds are on.
+    /// The rebuild must build right away under the shard lock, in every
+    /// rebuild mode.
     Immediate,
 }
 
@@ -168,11 +167,12 @@ fn grown_capacity(mut capacity: usize, live: usize) -> usize {
     capacity
 }
 
-/// The classic inline policy (and the default): double the filter the moment
-/// the shard outgrows its sized capacity or the filter refuses a key.
+/// The classic policy (and the default): double the filter the moment the
+/// shard outgrows its sized capacity or the filter refuses a key.
 ///
-/// This reproduces the store's original hard-coded behavior bit for bit:
-/// rebuilds happen inline at exactly `2 × capacity`, deletes never trigger a
+/// This reproduces the store's original hard-coded behavior: rebuilds are
+/// requested at exactly `2 × capacity` (doubled further if the shard
+/// outgrew that by the time the job snapshots it), deletes never trigger a
 /// rebuild (Bloom tombstones are purged by the next saturation rebuild or an
 /// explicit `maintain()`), and nothing is ever deferred.
 #[derive(Debug, Clone, Copy, Default)]

@@ -136,19 +136,10 @@ impl ShardSnapshot {
 /// shard rebuilt by other means in the meantime.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RebuildTicket {
-    pub(crate) epoch: u64,
-}
-
-/// What [`Shard::maintain`] did.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum MaintainOutcome {
-    /// Nothing was due.
-    Idle,
-    /// The shard rebuilt inline.
-    Rebuilt,
-    /// The shard requested a background rebuild; the caller must enqueue the
-    /// ticket with the maintainer.
-    Requested(RebuildTicket),
+    epoch: u64,
+    /// Start of the write call that requested the rebuild (`None` for
+    /// maintenance and migrations): the stall base when that call runs it.
+    write_call: Option<Instant>,
 }
 
 /// The shape a migration rebuilds a shard into: a family migration is just a
@@ -168,10 +159,8 @@ pub(crate) struct MigrationTarget {
 /// What [`Shard::migrate`] did.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum MigrateOutcome {
-    /// The shard rebuilt into the target family inline.
-    Migrated,
-    /// The migration was deferred to the maintainer; the caller must enqueue
-    /// the ticket.
+    /// The migration was requested; the caller must hand the ticket to the
+    /// maintainer.
     Requested(RebuildTicket),
     /// A rebuild is already in flight; try again after it completes.
     Busy,
@@ -179,7 +168,7 @@ pub(crate) enum MigrateOutcome {
     Unchanged,
 }
 
-/// One write-side mutation logged while a background rebuild is in flight,
+/// One write-side mutation logged while a rebuild job is in flight,
 /// replayed into the replacement filter (in order) before the swap.
 #[derive(Debug, Clone, Copy)]
 enum DeltaOp {
@@ -187,17 +176,17 @@ enum DeltaOp {
     Delete(u32),
 }
 
-/// Writer-side state of one in-flight background rebuild.
+/// Writer-side state of one requested or in-flight rebuild job.
 #[derive(Debug)]
 struct PendingRebuild {
-    /// Rebuild epoch at request time. An inline fallback rebuild bumps the
-    /// writer's epoch, which invalidates this job: its result is discarded
-    /// at swap time instead of clobbering the newer filter.
+    /// Rebuild epoch at request time. An under-lock fallback rebuild bumps
+    /// the writer's epoch, which invalidates this job: its result is
+    /// discarded at swap time instead of clobbering the newer filter.
     epoch: u64,
     /// Capacity the policy asked for when the rebuild was requested.
     capacity: usize,
     /// Mutations since the maintainer snapshotted the key set. Bounded: the
-    /// writer falls back to an inline rebuild if the shard re-saturates
+    /// writer falls back to an under-lock rebuild if the shard re-saturates
     /// faster than the maintainer can rebuild (see
     /// [`ShardWriter::shed_backpressure`]).
     delta: Vec<DeltaOp>,
@@ -287,32 +276,28 @@ pub(crate) struct ShardWriter {
     /// Completed family migrations: rebuilds that swapped the shard's
     /// `(config, bits_per_key, counting)` shape for a re-advised one.
     migrations: u64,
-    /// Of those, how many were completed off-lock by the maintainer.
+    /// Of those, how many a maintainer thread or queue completed (rebuilds a
+    /// write call ran on its own thread are not counted here).
     rebuilds_background: u64,
-    /// Cumulative request→swap latency of completed background rebuilds.
+    /// Cumulative request→swap latency of those maintainer rebuilds.
     rebuild_wait_ns: u64,
-    /// Largest single *inline* rebuild executed on the write path (insert or
-    /// delete call), in nanoseconds. Structurally zero when a maintainer
-    /// absorbs every rebuild; the backpressure fallback still counts.
-    /// Maintenance-time rebuilds (`maintain()`) are excluded, like all
-    /// `maintain()` work.
+    /// Largest single rebuild a write call (insert or delete) paid for on
+    /// its own thread, in nanoseconds: inline-mode jobs plus under-lock
+    /// builds. Maintenance-time rebuilds (`maintain()`) are excluded, like
+    /// all `maintain()` work.
     writer_rebuild_stall_ns: u64,
     /// Monotonic generation of the shard's filter: bumped by every completed
-    /// rebuild (inline or swapped-in). Background jobs are tagged with the
-    /// epoch at request time and discarded on mismatch.
+    /// rebuild (under the lock or swapped in). Rebuild jobs are tagged with
+    /// the epoch at request time and discarded on mismatch.
     rebuild_epoch: u64,
-    /// In-flight background rebuild, if any. While set, policy decisions are
-    /// suppressed (the replacement is already being built) and writes are
-    /// delta-logged for replay.
+    /// Requested or in-flight rebuild, if any. While set, policy decisions
+    /// are suppressed (the replacement is already being built) and writes
+    /// are delta-logged for replay.
     pending: Option<PendingRebuild>,
     /// A ticket produced by the last write call, not yet handed to the
-    /// store. Taken (and enqueued with the maintainer) by the calling batch
-    /// method before it releases the lock.
+    /// store. Taken by the calling batch method before it releases the lock;
+    /// the store then runs or enqueues it.
     ticket: Option<RebuildTicket>,
-    /// May `Rebuild` decisions run off-lock? Set iff the owning store runs a
-    /// maintainer; `false` keeps the synchronous path bit-for-bit identical
-    /// to the pre-maintainer store.
-    background: bool,
     /// Do Bloom filters of this shard carry a counting sidecar
     /// ([`BloomDeleteMode::Counting`])? Every rebuild re-attaches it.
     counting: bool,
@@ -361,9 +346,9 @@ pub(crate) struct ShardView {
     pub(crate) rebuild_wait_ns: u64,
     /// Longest single write call this shard has served, ns.
     pub(crate) max_writer_stall_ns: u64,
-    /// Longest single inline rebuild paid by a write call, ns.
+    /// Longest single rebuild a write call paid for on its own thread, ns.
     pub(crate) writer_rebuild_stall_ns: u64,
-    /// Is a background rebuild currently in flight?
+    /// Is a rebuild job currently in flight?
     pub(crate) rebuild_pending: bool,
     /// Completed family migrations (subset of `rebuilds`).
     pub(crate) migrations: u64,
@@ -376,7 +361,6 @@ impl Shard {
         capacity: usize,
         bits_per_key: f64,
         policy: Arc<dyn RebuildPolicy>,
-        background: bool,
         delete_mode: BloomDeleteMode,
     ) -> Self {
         let capacity = capacity.max(64);
@@ -407,7 +391,6 @@ impl Shard {
                 rebuild_epoch: 0,
                 pending: None,
                 ticket: None,
-                background,
                 counting,
                 policy,
             }),
@@ -442,7 +425,7 @@ impl Shard {
     /// per the shard's policy), then publish a fresh snapshot — unless every
     /// key in the batch was a duplicate, in which case nothing observable
     /// changed and the clone-and-publish is skipped entirely. Returns a
-    /// ticket if the policy requested a background rebuild.
+    /// ticket if the policy requested a rebuild.
     pub(crate) fn insert_batch(&self, keys: &[u32]) -> Option<RebuildTicket> {
         if keys.is_empty() {
             return None;
@@ -478,13 +461,13 @@ impl Shard {
         // buffer's sorted invariant once, before anything clones or folds it.
         writer.seal_overflow();
         // Immutable shards park every fresh key in the overflow buffer (the
-        // filter refuses in-place inserts); fold the batch's parked keys into
-        // a re-peeled replacement once, at batch end — one rebuild (or one
-        // background request) per batch, not one per key.
+        // filter refuses in-place inserts); request one re-peel that folds
+        // the batch's parked keys at batch end — one rebuild per batch, not
+        // one per key.
         if fresh > 0 {
             writer.fold_immutable();
         }
-        let ticket = writer.ticket.take();
+        let ticket = writer.take_ticket(start);
         // Any fresh key changed either the filter or the overflow buffer;
         // an all-duplicate batch changed neither.
         if fresh > 0 {
@@ -496,8 +479,8 @@ impl Shard {
     }
 
     /// Delete a batch of keys routed to this shard. Returns how many were
-    /// actually removed, plus a ticket if the policy requested a background
-    /// rebuild. Cuckoo shards — and Bloom shards in
+    /// actually removed, plus a ticket if the policy requested a rebuild.
+    /// Cuckoo shards — and Bloom shards in
     /// [`BloomDeleteMode::Counting`] — delete in place and republish; Bloom
     /// shards in tombstone mode tombstone (the key leaves the bookkeeping
     /// immediately, the filter bits stay until the policy's next rebuild).
@@ -510,8 +493,8 @@ impl Shard {
         let (removed, mut observable) = writer.delete_many(keys);
         if removed > 0 {
             if let RebuildDecision::Rebuild { capacity } = writer.policy_decision_on_delete() {
-                // pof-analyze: allow(lock-discipline): inline mode rebuilds under the writer lock by contract; background/queued modes only mint a ticket here and build off-lock
-                if !writer.rebuild_or_request(capacity, true) {
+                // pof-analyze: allow(lock-discipline): only a decision of immediate urgency builds here, under the lock; a deferrable one mints a ticket for the caller or maintainer to build off-lock
+                if !writer.rebuild_or_request(capacity) {
                     observable = true;
                 }
             }
@@ -519,11 +502,9 @@ impl Shard {
             // tombstones behind, purged by re-peeling the surviving key set.
             // Absent-key (NotFound) deletes minted no tombstone above and so
             // trigger no rebuild here.
-            if writer.fold_immutable() {
-                observable = true;
-            }
+            writer.fold_immutable();
         }
-        let ticket = writer.ticket.take();
+        let ticket = writer.take_ticket(start);
         if observable {
             self.publish(&writer);
         }
@@ -562,19 +543,15 @@ impl Shard {
     }
 
     /// Run one maintenance round: ask the policy whether deferred work
-    /// (overflow folds, tombstone purges, re-fits) should happen now.
-    pub(crate) fn maintain(&self) -> MaintainOutcome {
+    /// (overflow folds, tombstone purges, re-fits) should happen now, and
+    /// request it if so. Whatever the policy's urgency, maintenance never
+    /// builds under the lock: the store drains every ticket before
+    /// `maintain()` returns anyway.
+    pub(crate) fn maintain(&self) -> Option<RebuildTicket> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
-        if let RebuildDecision::Rebuild { capacity } = writer.policy_decision_on_maintain() {
-            // pof-analyze: allow(lock-discipline): inline mode rebuilds under the writer lock by contract; background/queued modes only mint a ticket here and build off-lock
-            if writer.rebuild_or_request(capacity, false) {
-                MaintainOutcome::Requested(writer.ticket.take().expect("request leaves a ticket"))
-            } else {
-                self.publish(&writer);
-                MaintainOutcome::Rebuilt
-            }
-        } else {
-            MaintainOutcome::Idle
+        match writer.policy_decision_on_maintain() {
+            RebuildDecision::Rebuild { capacity } => Some(writer.request(capacity, None)),
+            RebuildDecision::Keep | RebuildDecision::Defer => None,
         }
     }
 
@@ -584,29 +561,39 @@ impl Shard {
             .fetch_max(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Phase one of a background rebuild: under one brief writer lock,
-    /// validate the ticket, switch the writer into delta-logging mode, and
-    /// copy out everything needed to build the replacement filter off-lock.
-    /// Returns `None` if the ticket went stale (an inline fallback rebuilt
-    /// the shard first).
+    /// Run one rebuild job start to finish on the calling thread: snapshot,
+    /// off-lock build, delta replay, swap. This is how
+    /// [`RebuildMode::Inline`](crate::RebuildMode::Inline) executes a ticket
+    /// — the caller is the maintainer. A stale ticket is discarded.
+    pub(crate) fn run_rebuild(&self, ticket: RebuildTicket) {
+        let start = Instant::now();
+        if let Some(plan) = self.begin_rebuild(ticket) {
+            let (filter, capacity) = plan.build();
+            self.finish_rebuild(ticket, filter, capacity, Some(start));
+        }
+    }
+
+    /// Phase one of a rebuild job: under one brief writer lock, validate the
+    /// ticket, switch the writer into delta-logging mode, and copy out
+    /// everything needed to build the replacement filter off-lock. Returns
+    /// `None` if the ticket went stale (an under-lock fallback rebuilt the
+    /// shard first).
     pub(crate) fn begin_rebuild(&self, ticket: RebuildTicket) -> Option<RebuildPlan> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let live = writer.keys.len();
         let pending = writer.pending.as_mut()?;
         if pending.epoch != ticket.epoch {
             return None;
         }
         pending.delta_active = true;
+        let (requested, target) = (pending.capacity, pending.target);
         // The requested capacity may be stale by the time the job is picked
-        // up (the shard kept absorbing writes): grow it to fit what is live
-        // *now*, so a Bloom replacement is not born overloaded.
-        let mut capacity = pending.capacity.max(64);
-        while capacity < live {
-            capacity *= 2;
-        }
+        // up (the shard kept absorbing writes, or a re-peel or migration
+        // simply asked for the current capacity): grow it to fit what is
+        // live *now*, so a Bloom replacement is not born overloaded.
+        let capacity = writer.fitted_capacity(requested);
         // A migration rebuild targets a different shape; a plain rebuild
         // rebuilds in place.
-        let (config, bits_per_key, counting) = match pending.target {
+        let (config, bits_per_key, counting) = match target {
             Some(target) => (target.config, target.bits_per_key, target.counting),
             None => (writer.config, writer.bits_per_key, writer.counting),
         };
@@ -620,19 +607,22 @@ impl Shard {
         })
     }
 
-    /// Phase two of a background rebuild: re-acquire the shard briefly,
-    /// replay the mutations logged since the snapshot into the replacement
-    /// filter, and publish it with a single `Arc` swap. Returns `false` (and
-    /// discards the filter) if the ticket went stale.
+    /// Phase two of a rebuild job: re-acquire the shard briefly, replay the
+    /// mutations logged since the snapshot into the replacement filter, and
+    /// publish it with a single `Arc` swap. A stale ticket's filter is
+    /// discarded. `on_caller` is the job's start when the requesting thread
+    /// ran it ([`Self::run_rebuild`]), which books it as that call's stall
+    /// instead of a background rebuild.
     pub(crate) fn finish_rebuild(
         &self,
         ticket: RebuildTicket,
         filter: AnyFilter,
         capacity: usize,
-    ) -> bool {
+        on_caller: Option<Instant>,
+    ) {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
         if writer.pending.as_ref().map(|p| p.epoch) != Some(ticket.epoch) {
-            return false;
+            return;
         }
         let pending = writer.pending.take().expect("epoch matched above");
         let mut filter = filter;
@@ -683,19 +673,27 @@ impl Shard {
         writer.overflow = overflow;
         writer.tombstones = tombstones;
         writer.rebuilds += 1;
-        writer.rebuilds_background += 1;
         writer.rebuild_epoch += 1;
-        writer.rebuild_wait_ns += pending.requested.elapsed().as_nanos() as u64;
+        match on_caller {
+            None => {
+                writer.rebuilds_background += 1;
+                writer.rebuild_wait_ns += pending.requested.elapsed().as_nanos() as u64;
+            }
+            Some(start) if ticket.write_call.is_some() => writer.note_build_stall(start),
+            Some(_) => {}
+        }
         self.publish(&writer);
-        true
+        drop(writer);
+        if let (Some(_), Some(call)) = (on_caller, ticket.write_call) {
+            self.note_writer_stall(call);
+        }
     }
 
     /// Rebuild this shard into a different `(config, bits_per_key, counting)`
-    /// shape — the live-migration primitive. Synchronous stores migrate
-    /// inline under the writer lock; background/queued stores leave a ticket
-    /// whose rebuild plan carries the target, so the existing snapshot →
-    /// off-lock build → delta replay → `Arc`-swap machinery performs the
-    /// family swap with readers staying wait-free throughout.
+    /// shape — the live-migration primitive. Leaves a ticket whose rebuild
+    /// plan carries the target, so the ordinary snapshot → off-lock build →
+    /// delta replay → `Arc`-swap job performs the family swap with readers
+    /// staying wait-free throughout.
     pub(crate) fn migrate(&self, target: MigrationTarget) -> MigrateOutcome {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
         if writer.config == target.config
@@ -710,30 +708,8 @@ impl Shard {
             // readvisor retries at its next evaluation.
             return MigrateOutcome::Busy;
         }
-        let capacity = writer.refit_capacity();
-        if writer.background {
-            writer.pending = Some(PendingRebuild {
-                epoch: writer.rebuild_epoch,
-                capacity,
-                delta: Vec::new(),
-                delta_active: false,
-                requested: Instant::now(),
-                target: Some(target),
-            });
-            let ticket = RebuildTicket {
-                epoch: writer.rebuild_epoch,
-            };
-            return MigrateOutcome::Requested(ticket);
-        }
-        writer.config = target.config;
-        writer.bits_per_key = target.bits_per_key;
-        writer.counting = target.counting;
-        // pof-analyze: allow(lock-discipline): synchronous stores migrate inline under the writer lock by design (this branch is the RebuildMode::Inline fallback)
-        writer.rebuild_inline(capacity, false);
-        writer.budget_fpr = budget_fpr_for(&writer.config, writer.capacity, writer.bits_per_key);
-        writer.migrations += 1;
-        self.publish(&writer);
-        MigrateOutcome::Migrated
+        let capacity = writer.capacity;
+        MigrateOutcome::Requested(writer.request(capacity, Some(target)))
     }
 
     /// Number of live keys in this shard.
@@ -802,14 +778,6 @@ impl Shard {
         }
     }
 
-    /// Flip whether `Rebuild` decisions may defer off-lock. Recovery builds
-    /// shards synchronous (`background = false`), replays the WAL inline so
-    /// no replayed batch can park a ticket nobody will ever drain, then
-    /// restores the mode the store was actually opened with.
-    pub(crate) fn set_background(&self, background: bool) {
-        self.writer.lock().expect("writer lock poisoned").background = background;
-    }
-
     /// Serialize this shard's complete write-side state — filter (with its
     /// counting sidecar, if any), insertion-ordered key log, overflow
     /// buffer, and lifecycle counters — under one writer lock, so the
@@ -832,15 +800,14 @@ impl Shard {
 
     /// Rebuild a shard from a payload written by [`Shard::encode_state`].
     /// The filter configuration travels inside the filter codec; the policy
-    /// and background mode are runtime choices supplied by the opening
-    /// store, not persisted state. The key log restores in its original
-    /// insertion order, so post-recovery rebuilds replay exactly the
+    /// is a runtime choice supplied by the opening store, not persisted
+    /// state. The key log restores in its original insertion order, so
+    /// post-recovery rebuilds replay exactly the
     /// sequence the pre-crash shard would have — Cuckoo rebuilds stay
     /// deterministic across a crash.
     pub(crate) fn decode_state(
         cursor: &mut Cursor<'_>,
         policy: Arc<dyn RebuildPolicy>,
-        background: bool,
     ) -> Result<Self, CodecError> {
         let bits_per_key = cursor.f64()?;
         let counting = cursor.u8()? != 0;
@@ -882,7 +849,6 @@ impl Shard {
                 rebuild_epoch: 0,
                 pending: None,
                 ticket: None,
-                background,
                 counting,
                 policy,
             }),
@@ -958,7 +924,7 @@ impl ShardWriter {
         }
         match self.policy.on_append(&self.observe()) {
             RebuildDecision::Rebuild { capacity } => {
-                if self.rebuild_or_request(capacity, true) {
+                if self.rebuild_or_request(capacity) {
                     // Deferred to the maintainer: the key must stay visible
                     // *now*, through the current filter or the buffer.
                     if !self.filter.insert(key) {
@@ -973,7 +939,7 @@ impl ShardWriter {
                     // below nominal capacity).
                     match self.policy.on_filter_full(&self.observe()) {
                         RebuildDecision::Rebuild { capacity } => {
-                            if self.rebuild_or_request(capacity, true) {
+                            if self.rebuild_or_request(capacity) {
                                 self.defer(key);
                             }
                         }
@@ -989,73 +955,76 @@ impl ShardWriter {
 
     /// Batch-end fold for immutable (fuse) shards: if parked keys or
     /// tombstones have accumulated and no rebuild is already in flight,
-    /// re-peel the filter from the authoritative key set (inline in
-    /// synchronous mode, as a maintainer request otherwise). Returns `true`
-    /// when an inline rebuild ran — the published state changed. A no-op for
-    /// mutable families and for clean immutable shards.
-    fn fold_immutable(&mut self) -> bool {
-        if !self.config.immutable() || self.pending.is_some() {
-            return false;
+    /// request a re-peel of the filter from the authoritative key set. A
+    /// no-op for mutable families and for clean immutable shards.
+    fn fold_immutable(&mut self) {
+        let dirty = !self.overflow.is_empty() || self.tombstones > 0;
+        if self.config.immutable() && self.pending.is_none() && dirty {
+            self.rebuild_or_request(self.capacity);
         }
-        if self.overflow.is_empty() && self.tombstones == 0 {
-            return false;
-        }
-        !self.rebuild_or_request(self.refit_capacity(), true)
     }
 
-    /// Capacity for an immutable re-peel: the current capacity, doubled
-    /// until the live key set fits.
-    fn refit_capacity(&self) -> usize {
-        let mut capacity = self.capacity.max(64);
+    /// `capacity` (floored at 64), doubled until the live key set fits.
+    fn fitted_capacity(&self, capacity: usize) -> usize {
+        let mut capacity = capacity.max(64);
         while capacity < self.keys.len() {
             capacity *= 2;
         }
         capacity
     }
 
-    /// Execute a `Rebuild` decision: inline in synchronous mode (or when the
-    /// policy marks the decision [`RebuildUrgency::Immediate`]), otherwise
-    /// record the pending state and leave a [`RebuildTicket`] for the
-    /// maintainer. Returns `true` when the rebuild was deferred off-lock —
-    /// callers must then keep the triggering key visible themselves.
-    /// `foreground` marks write-path callers, whose inline rebuilds count
-    /// toward the writer rebuild-stall statistic.
-    fn rebuild_or_request(&mut self, capacity: usize, foreground: bool) -> bool {
-        // Immutable shards always defer when a maintainer exists: their
-        // overflow buffer legitimately holds a whole batch between fold and
-        // swap, which a mutable-world urgency bound (DeferredBatch's 4x
-        // overflow cap) would misread as a runaway buffer.
-        let deferrable = self.config.immutable()
-            || self.policy.urgency(&self.observe()) == RebuildUrgency::Deferrable;
-        if self.background && deferrable {
-            self.pending = Some(PendingRebuild {
-                epoch: self.rebuild_epoch,
-                capacity,
-                delta: Vec::new(),
-                delta_active: false,
-                requested: Instant::now(),
-                target: None,
-            });
-            self.ticket = Some(RebuildTicket {
-                epoch: self.rebuild_epoch,
-            });
-            true
-        } else {
-            self.rebuild_inline(capacity, foreground);
-            false
+    /// Record a rebuild job and return its ticket. While the job is pending,
+    /// policy decisions are suppressed; a `target` makes it a migration.
+    fn request(&mut self, capacity: usize, target: Option<MigrationTarget>) -> RebuildTicket {
+        self.pending = Some(PendingRebuild {
+            epoch: self.rebuild_epoch,
+            capacity,
+            delta: Vec::new(),
+            delta_active: false,
+            requested: Instant::now(),
+            target,
+        });
+        RebuildTicket {
+            epoch: self.rebuild_epoch,
+            write_call: None,
         }
     }
 
-    /// Rebuild now, recording the stall against the write path when a
-    /// foreground (insert/delete) call is paying for it.
-    fn rebuild_inline(&mut self, capacity: usize, foreground: bool) {
-        let start = Instant::now();
-        self.rebuild(capacity);
-        if foreground {
-            self.writer_rebuild_stall_ns = self
-                .writer_rebuild_stall_ns
-                .max(start.elapsed().as_nanos() as u64);
+    /// Hand the ticket this write call minted (if any) to the caller,
+    /// stamped with the call's start for the stall statistics.
+    fn take_ticket(&mut self, write_call: Instant) -> Option<RebuildTicket> {
+        self.ticket.take().map(|ticket| RebuildTicket {
+            write_call: Some(write_call),
+            ..ticket
+        })
+    }
+
+    /// Execute a write call's `Rebuild` decision: request it (leaving a
+    /// [`RebuildTicket`] for the caller), or — when the policy marks it
+    /// [`RebuildUrgency::Immediate`] — rebuild under the lock right now.
+    /// Returns `true` when the rebuild was requested — callers must then
+    /// keep the triggering key visible themselves.
+    fn rebuild_or_request(&mut self, capacity: usize) -> bool {
+        // Immutable shards always defer: their overflow buffer legitimately
+        // holds a whole batch between fold and swap, which a mutable-world
+        // urgency bound (DeferredBatch's 4x overflow cap) would misread as a
+        // runaway buffer.
+        let deferrable = self.config.immutable()
+            || self.policy.urgency(&self.observe()) == RebuildUrgency::Deferrable;
+        if deferrable {
+            self.ticket = Some(self.request(capacity, None));
+        } else {
+            self.rebuild(capacity);
         }
+        deferrable
+    }
+
+    /// Record a rebuild started at `start` that a write call paid for on its
+    /// own thread.
+    fn note_build_stall(&mut self, start: Instant) {
+        self.writer_rebuild_stall_ns = self
+            .writer_rebuild_stall_ns
+            .max(start.elapsed().as_nanos() as u64);
     }
 
     /// Log one mutation for the in-flight rebuild's replay, if the
@@ -1071,7 +1040,7 @@ impl ShardWriter {
     /// Backpressure for a shard that re-saturates while its rebuild is in
     /// flight: once the delta outgrows the shard's own capacity (floored at
     /// 4096 so brief build windows on small shards don't trip it) the replay
-    /// would no longer be "bounded", so fall back to one inline rebuild.
+    /// would no longer be "bounded", so fall back to one under-lock rebuild.
     /// The epoch bump inside [`ShardWriter::rebuild`] invalidates the
     /// in-flight job; its result is discarded at swap time.
     fn shed_backpressure(&mut self) {
@@ -1085,7 +1054,7 @@ impl ShardWriter {
         self.inline_fallback();
     }
 
-    /// Abandon the in-flight background rebuild and rebuild inline right
+    /// Abandon the in-flight rebuild job and rebuild under the lock right
     /// now, refit to the current live count. The epoch bump inside
     /// [`ShardWriter::rebuild`] invalidates the abandoned job; its result is
     /// discarded at swap time.
@@ -1094,11 +1063,7 @@ impl ShardWriter {
             .pending
             .take()
             .map_or(self.capacity, |pending| pending.capacity);
-        let mut capacity = requested.max(self.capacity);
-        while capacity < self.keys.len() {
-            capacity *= 2;
-        }
-        self.rebuild_inline(capacity, true);
+        self.rebuild(self.fitted_capacity(requested.max(self.capacity)));
     }
 
     /// Park a key in the overflow buffer. The key is fresh in the key set —
@@ -1185,7 +1150,7 @@ impl ShardWriter {
     /// positive through the published snapshot's overflow copy until the
     /// next rebuild drops them (they are no longer in `keys`, so no rebuild
     /// or publish ever carries them forward). Delta-logged like a physical
-    /// delete: an in-flight background rebuild builds from the post-delete
+    /// delete: an in-flight rebuild job builds from the post-delete
     /// key set either way, so replaying the delete into its replacement is
     /// membership-equivalent.
     fn shadow_delete_many(&mut self, keys: &[u32]) -> usize {
@@ -1213,8 +1178,8 @@ impl ShardWriter {
     }
 
     /// The policy's post-delete-batch decision (`Defer` is meaningless for
-    /// deletes and treated as `Keep`; suppressed entirely while a background
-    /// rebuild is in flight — the swap purges tombstones anyway).
+    /// deletes and treated as `Keep`; suppressed entirely while a rebuild
+    /// job is in flight — the swap purges tombstones anyway).
     fn policy_decision_on_delete(&self) -> RebuildDecision {
         if self.pending.is_some() {
             return RebuildDecision::Keep;
@@ -1226,7 +1191,7 @@ impl ShardWriter {
     }
 
     /// The policy's maintenance decision (`Defer` treated as `Keep`;
-    /// suppressed while a background rebuild is in flight — the store's
+    /// suppressed while a rebuild job is in flight — the store's
     /// `maintain()` drains the in-flight job instead of stacking another).
     fn policy_decision_on_maintain(&self) -> RebuildDecision {
         if self.pending.is_some() {
@@ -1237,7 +1202,7 @@ impl ShardWriter {
         // them regardless of what a mutable-world policy would decide.
         if self.config.immutable() && (!self.overflow.is_empty() || self.tombstones > 0) {
             return RebuildDecision::Rebuild {
-                capacity: self.refit_capacity(),
+                capacity: self.capacity,
             };
         }
         match self.policy.on_maintain(&self.observe()) {
@@ -1254,13 +1219,16 @@ impl ShardWriter {
         assert!(self.keys.insert(key), "key already resident");
     }
 
-    /// Rebuild the filter from the authoritative key set at a new capacity.
+    /// Rebuild the filter from the authoritative key set at a new capacity,
+    /// under the lock — the one path for immediate urgency and backpressure
+    /// — and book the stall against the write call paying for it.
     ///
     /// Live keys are replayed (in insertion order) into the fresh filter;
     /// the overflow buffer folds in and tombstones are purged. The filter
     /// replaces the write side only — readers keep the previous snapshot
     /// until the caller publishes.
     fn rebuild(&mut self, capacity: usize) {
+        let start = Instant::now();
         let capacity = capacity.max(64);
         self.keys.fold();
         let (filter, grown) = build_populated_filter(
@@ -1276,6 +1244,7 @@ impl ShardWriter {
         self.tombstones = 0;
         self.rebuilds += 1;
         self.rebuild_epoch += 1;
+        self.note_build_stall(start);
     }
 }
 
@@ -1287,14 +1256,15 @@ mod tests {
     use pof_cuckoo::{CuckooAddressing, CuckooConfig};
 
     fn shard(config: FilterConfig, delete_mode: BloomDeleteMode) -> Shard {
-        Shard::new(
-            config,
-            256,
-            16.0,
-            Arc::new(SaturationDoubling),
-            false,
-            delete_mode,
-        )
+        Shard::new(config, 256, 16.0, Arc::new(SaturationDoubling), delete_mode)
+    }
+
+    /// Run the rebuild a write call requested, as an inline store does
+    /// before the call returns.
+    fn run(shard: &Shard, ticket: Option<RebuildTicket>) {
+        if let Some(ticket) = ticket {
+            shard.run_rebuild(ticket);
+        }
     }
 
     fn bloom_config() -> FilterConfig {
@@ -1347,7 +1317,7 @@ mod tests {
     fn absent_key_deletes_on_immutable_shards_trigger_no_rebuild() {
         let shard = shard(fuse_config(), BloomDeleteMode::Tombstone);
         let keys: Vec<u32> = (0..300u32).map(|i| i * 17 + 3).collect();
-        assert!(shard.insert_batch(&keys).is_none());
+        run(&shard, shard.insert_batch(&keys));
         let view = shard.consistent_view();
         let builds_before = view.rebuilds;
         assert_eq!(view.overflow, 0, "the insert batch folded its parked keys");
@@ -1366,7 +1336,8 @@ mod tests {
         assert_eq!(view.rebuilds, builds_before, "NotFound forced a re-peel");
         // A genuine delete of present keys tombstones, and the batch-end
         // fold purges them through exactly one re-peel.
-        let (removed, _) = shard.delete_batch(&keys[..50]);
+        let (removed, ticket) = shard.delete_batch(&keys[..50]);
+        run(&shard, ticket);
         assert_eq!(removed, 50);
         let view = shard.consistent_view();
         assert_eq!(view.tombstones, 0, "the fold left tombstones behind");
@@ -1386,7 +1357,7 @@ mod tests {
         let mut inserted: Vec<u32> = Vec::new();
         for batch in 0..4u32 {
             let keys: Vec<u32> = (0..200u32).map(|i| batch * 10_000 + i * 7).collect();
-            assert!(shard.insert_batch(&keys).is_none());
+            run(&shard, shard.insert_batch(&keys));
             inserted.extend_from_slice(&keys);
             let view = shard.consistent_view();
             assert_eq!(view.overflow, 0, "batch {batch} left keys parked");
@@ -1425,15 +1396,19 @@ mod tests {
     fn inline_migration_swaps_family_and_keeps_every_key() {
         let shard = shard(bloom_config(), BloomDeleteMode::Counting);
         let keys: Vec<u32> = (0..400u32).map(|i| i * 13 + 11).collect();
-        assert!(shard.insert_batch(&keys).is_none());
-        let (removed, _) = shard.delete_batch(&keys[..100]);
+        run(&shard, shard.insert_batch(&keys));
+        let (removed, ticket) = shard.delete_batch(&keys[..100]);
+        run(&shard, ticket);
         assert_eq!(removed, 100);
         let target = MigrationTarget {
             config: fuse_config(),
             bits_per_key: 10.0,
             counting: false,
         };
-        assert!(matches!(shard.migrate(target), MigrateOutcome::Migrated));
+        let MigrateOutcome::Requested(ticket) = shard.migrate(target) else {
+            panic!("migration not requested");
+        };
+        shard.run_rebuild(ticket);
         let view = shard.consistent_view();
         assert_eq!(view.migrations, 1);
         assert_eq!(view.counting_sidecar_bytes, 0, "sidecar survived the swap");
@@ -1447,7 +1422,7 @@ mod tests {
         assert_eq!(shard.consistent_view().migrations, 1);
         // The migrated shard keeps absorbing writes through its new family.
         let more: Vec<u32> = (0..50u32).map(|i| 1_000_000 + i * 7).collect();
-        shard.insert_batch(&more);
+        run(&shard, shard.insert_batch(&more));
         let snapshot = shard.load();
         for &key in &more {
             assert!(snapshot.contains(key));
@@ -1500,7 +1475,7 @@ mod tests {
             for mode in [BloomDeleteMode::Tombstone, BloomDeleteMode::Counting] {
                 let shard = shard(config, mode);
                 let keys: Vec<u32> = (0..300u32).map(|i| i * 19 + 7).collect();
-                assert!(shard.insert_batch(&keys).is_none());
+                run(&shard, shard.insert_batch(&keys));
                 let removed = shard.shadow_delete_batch(&keys[..150]);
                 assert_eq!(removed, 150);
                 // Idempotent: the keys already left the bookkeeping.
@@ -1554,14 +1529,15 @@ mod tests {
         for (config, mode) in configs {
             let shard = shard(config, mode);
             let keys: Vec<u32> = (0..500u32).map(|i| i.wrapping_mul(2_654_435_769)).collect();
-            shard.insert_batch(&keys);
-            let (removed, _) = shard.delete_batch(&keys[..80]);
+            run(&shard, shard.insert_batch(&keys));
+            let (removed, ticket) = shard.delete_batch(&keys[..80]);
+            run(&shard, ticket);
             assert_eq!(removed, 80);
             shard.shadow_delete_batch(&keys[80..120]);
             let mut payload = Vec::new();
             shard.encode_state(&mut payload);
             let mut cursor = Cursor::new(&payload);
-            let restored = Shard::decode_state(&mut cursor, Arc::new(SaturationDoubling), false)
+            let restored = Shard::decode_state(&mut cursor, Arc::new(SaturationDoubling))
                 .expect("encoded state must decode");
             cursor.finish().expect("decode must consume the payload");
             assert_eq!(restored.key_count(), shard.key_count());
@@ -1585,8 +1561,9 @@ mod tests {
             // working, and the replay log restored in order (a rebuild
             // reproduces a working filter).
             let more: Vec<u32> = (0..100u32).map(|i| 900_000 + i * 3).collect();
-            restored.insert_batch(&more);
-            let (removed, _) = restored.delete_batch(&keys[120..160]);
+            run(&restored, restored.insert_batch(&more));
+            let (removed, ticket) = restored.delete_batch(&keys[120..160]);
+            run(&restored, ticket);
             assert_eq!(removed, 40);
             let snapshot = restored.load();
             for &key in more.iter().chain(&keys[160..]) {
@@ -1606,7 +1583,7 @@ mod tests {
         // unconsumed bytes — never panic.
         for len in 0..payload.len() {
             let mut cursor = Cursor::new(&payload[..len]);
-            let result = Shard::decode_state(&mut cursor, Arc::new(SaturationDoubling), false);
+            let result = Shard::decode_state(&mut cursor, Arc::new(SaturationDoubling));
             if let Ok(_restored) = result {
                 assert!(
                     cursor.finish().is_err(),

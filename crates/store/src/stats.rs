@@ -21,8 +21,9 @@ pub struct ShardStats {
     pub modeled_fpr: f64,
     /// Policy-triggered rebuilds this shard has performed.
     pub rebuilds: u64,
-    /// Of those, rebuilds completed off-lock by the background maintainer
-    /// (snapshot → off-lock build → delta replay → atomic swap).
+    /// Of those, rebuild jobs (snapshot → off-lock build → delta replay →
+    /// atomic swap) a maintainer thread or queue completed; jobs an inline
+    /// store's write call ran on its own thread are not counted.
     pub rebuilds_background: u64,
     /// Completed live family/configuration migrations — rebuilds whose
     /// target `FilterConfig` differed from the incumbent's, driven by the
@@ -31,25 +32,26 @@ pub struct ShardStats {
     /// [`run_pending_readvise`]: crate::ShardedFilterStore::run_pending_readvise
     /// [`migrate_to`]: crate::ShardedFilterStore::migrate_to
     pub migrations: u64,
-    /// Cumulative request→swap latency of completed background rebuilds, in
-    /// nanoseconds — how long this shard's replacement filters were in
-    /// flight.
+    /// Cumulative request→swap latency of the rebuilds counted in
+    /// [`Self::rebuilds_background`], in nanoseconds — how long this shard's
+    /// replacement filters were in flight.
     pub rebuild_wait_ns: u64,
     /// Longest single `insert_batch`/`delete_batch` call this shard has
-    /// served (lock wait + mutation + snapshot publish), in nanoseconds.
+    /// served (lock wait + mutation + snapshot publish, plus the rebuilds an
+    /// inline store runs before the call returns), in nanoseconds.
     /// The writer tail-latency figure background rebuilds exist to shrink;
     /// `maintain()` time is excluded. On hosts where the maintainer has no
     /// spare core, wall-clock call times also absorb scheduler time-sharing
     /// — [`ShardStats::writer_rebuild_stall_ns`] isolates the structural
     /// component.
     pub max_writer_stall_ns: u64,
-    /// Longest single *inline* rebuild a write call paid for, in
+    /// Longest single rebuild a write call paid for on its own thread, in
     /// nanoseconds: the exact stall the background maintainer takes off the
-    /// write path. Structurally zero with background rebuilds on (only the
-    /// re-saturation backpressure fallback can make it non-zero);
+    /// write path. Structurally zero with background rebuilds on, bar the
+    /// immediate-urgency and backpressure builds under the shard lock;
     /// `maintain()`-time rebuilds are excluded.
     pub writer_rebuild_stall_ns: u64,
-    /// Is a background rebuild currently in flight for this shard?
+    /// Is a rebuild job currently in flight for this shard?
     pub rebuild_pending: bool,
     /// Deleted keys still represented in the filter (Bloom shards cannot
     /// unset bits; the active rebuild policy decides when they are purged).
@@ -109,7 +111,8 @@ impl StoreStats {
         self.shards.iter().map(|s| s.rebuilds).sum()
     }
 
-    /// Total rebuilds completed off-lock by the background maintainer.
+    /// Total rebuilds a maintainer thread or queue completed (see
+    /// [`ShardStats::rebuilds_background`]).
     #[must_use]
     pub fn total_background_rebuilds(&self) -> u64 {
         self.shards.iter().map(|s| s.rebuilds_background).sum()

@@ -1,13 +1,11 @@
 //! The sharded filter store and its frozen read snapshot.
 
-use crate::maintainer::{Maintainer, RebuildMode};
+use crate::maintainer::Maintainer;
 use crate::options::StoreOptions;
 use crate::persist::{PersistOptions, StorePersistence};
-use crate::policy::RebuildPolicy;
 use crate::readvise::{Readvisor, WorkloadObserver};
 use crate::shard::{
-    BloomDeleteMode, MaintainOutcome, MigrateOutcome, MigrationTarget, RebuildTicket, Shard,
-    ShardSnapshot,
+    BloomDeleteMode, MigrateOutcome, MigrationTarget, RebuildTicket, Shard, ShardSnapshot,
 };
 use crate::stats::{ShardStats, StoreStats};
 use pof_core::{AnyFilter, FilterConfig, LevelSpec};
@@ -35,17 +33,17 @@ const _: () = {
 /// generation fallback introduces. Shadow deletes were journaled as plain
 /// deletes: replaying them physically is membership-equivalent, because the
 /// key's reinsertion into the newer level is journaled (and replayed)
-/// there.
+/// there. Recovery is its own maintainer: every rebuild a replayed batch
+/// requests runs before the next batch replays.
 fn replay_wal(shard: &Shard, ops: &[(WalOp, u32)]) {
     fn flush(shard: &Shard, op: Option<WalOp>, batch: &mut Vec<u32>) {
-        match op {
-            Some(WalOp::Insert) => {
-                shard.insert_batch(batch);
-            }
-            Some(WalOp::Delete) => {
-                shard.delete_batch(batch);
-            }
-            None => {}
+        let ticket = match op {
+            Some(WalOp::Insert) => shard.insert_batch(batch),
+            Some(WalOp::Delete) => shard.delete_batch(batch).1,
+            None => None,
+        };
+        if let Some(ticket) = ticket {
+            shard.run_rebuild(ticket);
         }
         batch.clear();
     }
@@ -79,26 +77,30 @@ fn replay_wal(shard: &Shard, ops: &[(WalOp, u32)]) {
 /// returns — and published snapshots never lose keys, which the concurrency
 /// tests assert.
 ///
-/// *When* a shard rebuilds its filter — inline doubling on saturation,
-/// modeled-FPR drift, or deferred-until-[`maintain`](Self::maintain) — is
-/// decided by the store's [`RebuildPolicy`] (see
+/// *When* a shard rebuilds its filter — doubling on saturation, modeled-FPR
+/// drift, or deferred-until-[`maintain`](Self::maintain) — is decided by the
+/// store's [`RebuildPolicy`](crate::RebuildPolicy) (see
 /// [`StoreBuilder::rebuild_policy`](crate::StoreBuilder::rebuild_policy)).
-/// *Where* it runs is the store's [`RebuildMode`]: inline under the shard
-/// lock (default), or off-lock on a background maintainer that replays the
-/// bounded write delta and swaps the replacement in atomically (see
-/// [`StoreBuilder::rebuild_mode`](crate::StoreBuilder::rebuild_mode)).
+/// Every rebuild is one job: snapshot the shard's key set, build the
+/// replacement off-lock, replay the bounded write delta, swap it in atomically.
+/// *Where* the job runs is the store's [`RebuildMode`](crate::RebuildMode): on
+/// the calling thread before the write call returns (default), on a background
+/// maintainer thread, or from an explicit queue (see
+/// [`StoreBuilder::rebuild_mode`](crate::StoreBuilder::rebuild_mode)). Only a
+/// decision of immediate urgency, or backpressure from a shard that
+/// re-saturates mid-job, builds under the shard's write lock.
 ///
 /// With [`StoreOptions::readvise`] set, the store additionally observes its
 /// own traffic and can *migrate* the filter family live: see
 /// [`run_pending_readvise`](Self::run_pending_readvise).
 #[derive(Debug)]
 pub struct ShardedFilterStore {
-    /// Shared with the maintainer's worker thread in background mode.
+    /// Shared with the maintainer.
     shards: Arc<Vec<Shard>>,
     /// `log2` of the shard count.
     shard_bits: u32,
-    /// The background rebuild executor; `None` in inline (synchronous) mode.
-    maintainer: Option<Maintainer>,
+    /// The rebuild executor.
+    maintainer: Maintainer,
     /// Decayed insert/delete/lookup counters feeding re-advising.
     observer: WorkloadObserver,
     /// The externally supplied half of the observed workload: `t_w`, σ, and
@@ -164,15 +166,15 @@ impl ShardedFilterStore {
     /// constructor. [`StoreOptions::default`] matches [`Self::new`]'s
     /// defaults; override the fields that differ.
     ///
-    /// On the lifecycle side, [`RebuildMode::Background`] spawns one
+    /// On the lifecycle side,
+    /// [`RebuildMode::Background`](crate::RebuildMode::Background) spawns one
     /// maintainer thread owned by the store (joined on drop, after finishing
-    /// any queued jobs) and [`RebuildMode::Queued`] queues jobs for
-    /// [`run_pending_rebuilds`](Self::run_pending_rebuilds);
+    /// any queued jobs) and [`RebuildMode::Queued`](crate::RebuildMode::Queued)
+    /// queues jobs for [`run_pending_rebuilds`](Self::run_pending_rebuilds);
     /// [`BloomDeleteMode::Counting`] gives Bloom shards in-place deletes
-    /// through a per-shard counting sidecar; a `Some` `readvise` enables
-    /// online re-advising (see
-    /// [`run_pending_readvise`](Self::run_pending_readvise)). Most callers
-    /// should go through [`StoreBuilder`](crate::StoreBuilder).
+    /// through a per-shard counting sidecar; a `Some` `readvise` enables online
+    /// re-advising (see [`run_pending_readvise`](Self::run_pending_readvise)).
+    /// Most callers should go through [`StoreBuilder`](crate::StoreBuilder).
     #[must_use]
     pub fn from_options(options: StoreOptions) -> Self {
         let StoreOptions {
@@ -185,7 +187,6 @@ impl ShardedFilterStore {
             readvise,
         } = options;
         let shard_count = shard_count.max(1).next_power_of_two();
-        let background = lifecycle.rebuild_mode != RebuildMode::Inline;
         let shards: Arc<Vec<Shard>> = Arc::new(
             (0..shard_count)
                 .map(|_| {
@@ -194,7 +195,6 @@ impl ShardedFilterStore {
                         capacity_per_shard,
                         bits_per_key,
                         Arc::clone(&lifecycle.policy),
-                        background,
                         delete_mode,
                     )
                 })
@@ -293,15 +293,11 @@ impl ShardedFilterStore {
             delete_mode,
             readvise,
         } = options;
-        let background = lifecycle.rebuild_mode != RebuildMode::Inline;
         let files = pof_persist::scan_dir(dir, shard_count)?;
         let mut shards = Vec::with_capacity(shard_count);
         let mut segments = Vec::with_capacity(shard_count);
         for (index, shard_files) in files.iter().enumerate() {
             let recovered = pof_persist::recover_shard(dir, index, shard_files)?;
-            // Shards recover in synchronous mode so the WAL replay below can
-            // never park a background ticket nobody drains; the store's real
-            // mode is restored once the shard is caught up.
             let shard = match &recovered.snapshot {
                 Some(snapshot) => {
                     let path = dir.join(pof_persist::snapshot_file(
@@ -313,9 +309,8 @@ impl ShardedFilterStore {
                         detail,
                     };
                     let mut cursor = pof_persist::codec::Cursor::new(snapshot.payload());
-                    let shard =
-                        Shard::decode_state(&mut cursor, Arc::clone(&lifecycle.policy), false)
-                            .map_err(|err| corrupt(err.to_string()))?;
+                    let shard = Shard::decode_state(&mut cursor, Arc::clone(&lifecycle.policy))
+                        .map_err(|err| corrupt(err.to_string()))?;
                     cursor.finish().map_err(|err| corrupt(err.to_string()))?;
                     shard
                 }
@@ -324,12 +319,10 @@ impl ShardedFilterStore {
                     capacity_per_shard,
                     bits_per_key,
                     Arc::clone(&lifecycle.policy),
-                    false,
                     delete_mode,
                 ),
             };
             replay_wal(&shard, &recovered.replay);
-            shard.set_background(background);
             segments.push((recovered.wal_generation, recovered.wal_valid_len));
             shards.push(shard);
         }
@@ -380,72 +373,10 @@ impl ShardedFilterStore {
         }
     }
 
-    /// Create a store whose shards follow an explicit [`RebuildPolicy`],
-    /// with rebuilds inline (synchronous mode).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ShardedFilterStore::from_options(StoreOptions { .. }) or StoreBuilder"
-    )]
-    #[must_use]
-    pub fn with_policy(
-        config: FilterConfig,
-        shard_count: usize,
-        capacity_per_shard: usize,
-        bits_per_key: f64,
-        policy: Arc<dyn RebuildPolicy>,
-    ) -> Self {
-        Self::from_options(StoreOptions {
-            config,
-            shard_count,
-            capacity_per_shard,
-            bits_per_key,
-            lifecycle: crate::options::LifecycleOptions {
-                policy,
-                rebuild_mode: RebuildMode::Inline,
-            },
-            ..StoreOptions::default()
-        })
-    }
-
-    /// Create a store with an explicit policy, rebuild execution mode *and*
-    /// Bloom delete mode, from positional arguments.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ShardedFilterStore::from_options(StoreOptions { .. }) or StoreBuilder"
-    )]
-    #[must_use]
-    pub fn with_options(
-        config: FilterConfig,
-        shard_count: usize,
-        capacity_per_shard: usize,
-        bits_per_key: f64,
-        policy: Arc<dyn RebuildPolicy>,
-        mode: RebuildMode,
-        delete_mode: BloomDeleteMode,
-    ) -> Self {
-        Self::from_options(StoreOptions {
-            config,
-            shard_count,
-            capacity_per_shard,
-            bits_per_key,
-            lifecycle: crate::options::LifecycleOptions {
-                policy,
-                rebuild_mode: mode,
-            },
-            delete_mode,
-            ..StoreOptions::default()
-        })
-    }
-
-    /// Hand a shard's rebuild ticket to the maintainer. Tickets are only
-    /// ever produced by shards constructed in a background mode, so the
-    /// maintainer must exist.
+    /// Hand a write call's rebuild ticket, if any, to the maintainer.
     fn enqueue_rebuild(&self, shard: usize, ticket: Option<RebuildTicket>) {
         if let Some(ticket) = ticket {
-            self.maintainer
-                .as_ref()
-                .expect("rebuild tickets are only issued in background modes")
-                .enqueue(shard, ticket);
+            self.maintainer.enqueue(shard, ticket);
         }
     }
 
@@ -470,11 +401,12 @@ impl ShardedFilterStore {
     ///
     /// Each shard's keys are applied under that shard's write lock and become
     /// visible to readers atomically (per shard) when its fresh snapshot is
-    /// published at the end of the batch; a shard whose slice of the batch
-    /// was entirely duplicates skips the publish (nothing observable
-    /// changed). Inserts never fail: a shard whose filter cannot accommodate
-    /// a key rebuilds or defers per its [`RebuildPolicy`]. The store has
-    /// *set* semantics — re-inserting a key already present is a no-op.
+    /// published at the end of the batch; a shard whose slice of the batch was
+    /// entirely duplicates skips the publish (nothing observable changed).
+    /// Inserts never fail: a shard whose filter cannot accommodate a key
+    /// rebuilds or defers per its [`RebuildPolicy`](crate::RebuildPolicy). The
+    /// store has *set* semantics — re-inserting a key already present is a
+    /// no-op.
     pub fn insert_batch(&self, keys: &[u32]) {
         self.observer.note_inserts(keys.len());
         let mut routed: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
@@ -498,13 +430,13 @@ impl ShardedFilterStore {
     ///
     /// Cuckoo shards delete in place and republish immediately, and Bloom
     /// shards built with [`BloomDeleteMode::Counting`]
-    /// ([`StoreBuilder::bloom_deletes`](crate::StoreBuilder::bloom_deletes))
-    /// do the same through their counting sidecars. Bloom shards in the
-    /// default tombstone mode *tombstone* — the key leaves the bookkeeping
-    /// (and [`Self::key_count`]) at once, while its filter bits linger as
-    /// false positives until the shard's [`RebuildPolicy`] next rebuilds,
-    /// e.g. on the next saturation rebuild, an FPR-drift re-fit, or an
-    /// explicit [`Self::maintain`] call.
+    /// ([`StoreBuilder::bloom_deletes`](crate::StoreBuilder::bloom_deletes)) do
+    /// the same through their counting sidecars. Bloom shards in the default
+    /// tombstone mode *tombstone* — the key leaves the bookkeeping (and
+    /// [`Self::key_count`]) at once, while its filter bits linger as false
+    /// positives until the shard's [`RebuildPolicy`](crate::RebuildPolicy) next
+    /// rebuilds, e.g. on the next saturation rebuild, an FPR-drift re-fit, or
+    /// an explicit [`Self::maintain`] call.
     pub fn delete_batch(&self, keys: &[u32]) -> usize {
         let mut routed: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
         for &key in keys {
@@ -557,14 +489,15 @@ impl ShardedFilterStore {
 
     /// Run one maintenance round over every shard: fold deferred overflow
     /// buffers, purge tombstones, re-fit capacities — whatever the active
-    /// [`RebuildPolicy`] decides is due. Returns the number of shards that
-    /// rebuilt.
+    /// [`RebuildPolicy`](crate::RebuildPolicy) decides is due. Returns the
+    /// number of shards that rebuilt.
     ///
-    /// In a background mode this is also the store's **deterministic
-    /// barrier**: whatever the policy decided (including nothing at all —
-    /// e.g. a clean [`SaturationDoubling`](crate::SaturationDoubling) store), `maintain()` drains every
-    /// in-flight and newly requested background rebuild before returning, so
-    /// callers (and tests) observe a fully swapped-in store afterwards.
+    /// This is also the store's **deterministic barrier**: whatever the
+    /// policy decided (including nothing at all — e.g. a clean
+    /// [`SaturationDoubling`](crate::SaturationDoubling) store),
+    /// `maintain()` drains every in-flight and newly requested rebuild
+    /// before returning, so callers (and tests) observe a fully swapped-in
+    /// store afterwards.
     ///
     /// Readers are unaffected while this runs (they keep probing the last
     /// published snapshots); call it from an ingest pause, a timer, or after
@@ -572,23 +505,17 @@ impl ShardedFilterStore {
     pub fn maintain(&self) -> usize {
         let mut rebuilt = 0;
         for (index, shard) in self.shards.iter().enumerate() {
-            match shard.maintain() {
-                MaintainOutcome::Idle => {}
-                MaintainOutcome::Rebuilt => rebuilt += 1,
-                MaintainOutcome::Requested(ticket) => {
-                    self.enqueue_rebuild(index, Some(ticket));
-                    rebuilt += 1;
-                }
+            if let Some(ticket) = shard.maintain() {
+                self.maintainer.enqueue(index, ticket);
+                rebuilt += 1;
             }
         }
         // Re-advising rides the maintenance round (a no-op unless the store
         // was built with readvise options): migrations requested here are
-        // background jobs like any other, so the drain below is their
-        // barrier too.
+        // rebuild jobs like any other, so the drain below is their barrier
+        // too.
         rebuilt += self.run_pending_readvise();
-        if let Some(maintainer) = &self.maintainer {
-            maintainer.drain();
-        }
+        self.maintainer.drain();
         // With `checkpoint_on_maintain` set, the maintenance round doubles
         // as the durability barrier: the post-drain state (folds, purges and
         // swaps included) is what lands in the snapshots, so the journals
@@ -603,27 +530,25 @@ impl ShardedFilterStore {
         rebuilt
     }
 
-    /// In [`RebuildMode::Queued`] mode, advance up to `limit` queued rebuild
-    /// phases on the calling thread. Each rebuild is **two** phases — the
-    /// brief key-set snapshot (which opens the shard's delta-replay window),
-    /// then the off-lock build, delta replay and atomic swap — exactly what
-    /// the maintainer thread does in one go, split so a deterministic
-    /// harness can interleave writes in between. Returns how many phases
-    /// ran; always `0` in the other modes ([`RebuildMode::Background`]'s
-    /// worker owns execution, and inline stores never queue).
+    /// In [`RebuildMode::Queued`](crate::RebuildMode::Queued) mode, advance up
+    /// to `limit` queued rebuild phases on the calling thread. Each rebuild is
+    /// **two** phases — the brief key-set snapshot (which opens the shard's
+    /// delta-replay window), then the off-lock build, delta replay and atomic
+    /// swap — exactly what the maintainer thread does in one go, split so a
+    /// deterministic harness can interleave writes in between. Returns how many
+    /// phases ran; always `0` in the other modes
+    /// ([`RebuildMode::Background`](crate::RebuildMode::Background)'s worker
+    /// owns execution, and inline stores never queue).
     pub fn run_pending_rebuilds(&self, limit: usize) -> usize {
-        self.maintainer
-            .as_ref()
-            .map_or(0, |maintainer| maintainer.run_pending(limit))
+        self.maintainer.run_pending(limit)
     }
 
-    /// Number of background rebuild jobs enqueued but not yet completed.
-    /// Always `0` for inline (synchronous) stores.
+    /// Number of rebuild jobs enqueued but not yet completed. Always `0` for
+    /// [`RebuildMode::Inline`](crate::RebuildMode::Inline) stores, whose jobs
+    /// finish before the requesting call returns.
     #[must_use]
     pub fn pending_rebuilds(&self) -> usize {
-        self.maintainer
-            .as_ref()
-            .map_or(0, |maintainer| maintainer.pending())
+        self.maintainer.pending()
     }
 
     /// Update the externally supplied half of the observed workload: the
@@ -672,8 +597,8 @@ impl ShardedFilterStore {
     /// target. With a target pending, every shard is driven toward it: a
     /// migration is just a rebuild with a different target `FilterConfig`,
     /// so it goes through the same snapshot → off-lock build → delta replay
-    /// → swap machinery as any other rebuild (inline stores migrate on the
-    /// spot; background/queued stores enqueue the job). Returns the number
+    /// → swap job as any other rebuild (inline stores run it on the spot;
+    /// background/queued stores enqueue it). Returns the number
     /// of shards that advanced (migrated or had a migration requested); the
     /// target stays pending until every shard reports it is already there,
     /// so shards that were busy get picked up by the next call.
@@ -711,8 +636,8 @@ impl ShardedFilterStore {
     /// [`run_pending_readvise`](Self::run_pending_readvise) for callers that
     /// know where they are going (tests, operators forcing a layout).
     ///
-    /// Inline stores rebuild and swap on the spot; background/queued stores
-    /// enqueue migration jobs (drive them with
+    /// Inline stores run the migration job on the spot; background/queued
+    /// stores enqueue it (drive them with
     /// [`run_pending_rebuilds`](Self::run_pending_rebuilds) or
     /// [`maintain`](Self::maintain)). Shards already at the target, or busy
     /// with an in-flight rebuild, are skipped. Returns the number of shards
@@ -733,17 +658,17 @@ impl ShardedFilterStore {
 
     /// Drive every shard toward `target`. Returns `(advanced, done)`:
     /// `advanced` counts shards that migrated or accepted a migration
-    /// request this call; `done` is `true` only when every shard is already
-    /// at the target (nothing in flight, nothing refused as busy).
+    /// request this call; `done` is `true` only when every shard reported
+    /// it was already at the target (nothing requested, nothing refused as
+    /// busy).
     fn drive_migration(&self, target: MigrationTarget) -> (usize, bool) {
         let mut advanced = 0;
         let mut done = true;
         for (index, shard) in self.shards.iter().enumerate() {
             match shard.migrate(target) {
                 MigrateOutcome::Unchanged => {}
-                MigrateOutcome::Migrated => advanced += 1,
                 MigrateOutcome::Requested(ticket) => {
-                    self.enqueue_rebuild(index, Some(ticket));
+                    self.maintainer.enqueue(index, ticket);
                     advanced += 1;
                     done = false;
                 }
@@ -1168,6 +1093,7 @@ mod tests {
     use super::*;
     use crate::options::{LifecycleOptions, ReadviseOptions, StoreOptions};
     use crate::policy::{DeferredBatch, FprDrift, SaturationDoubling};
+    use crate::RebuildMode;
     use pof_bloom::{Addressing, BloomConfig};
     use pof_cuckoo::{CuckooAddressing, CuckooConfig};
     use pof_filter::KeyGen;
@@ -1261,6 +1187,10 @@ mod tests {
                 "{}: expected every shard to rebuild, stats: {stats:?}",
                 config.label()
             );
+            // Inline stores run each rebuild on the writing thread: the
+            // write calls paid for it, and no maintainer swapped anything.
+            assert!(stats.writer_rebuild_stall_ns() > 0, "{stats:?}");
+            assert_eq!(stats.total_background_rebuilds(), 0);
             for &key in &keys {
                 assert!(store.contains(key), "lost key in {}", config.label());
             }

@@ -541,8 +541,8 @@ impl TieredStore {
     ///
     /// The destination absorbs the merged keys through its own
     /// [`RebuildPolicy`](crate::RebuildPolicy) and rebuild execution mode:
-    /// inline stores rebuild under the shard lock inside this call,
-    /// background stores hand the rebuild to their maintainer thread, and
+    /// inline stores run the rebuild job on the calling thread inside this
+    /// call, background stores hand it to their maintainer thread, and
     /// queued stores leave it for
     /// [`run_pending_rebuilds`](Self::run_pending_rebuilds) — so a
     /// compaction can land *inside* a pending rebuild's delta window, which

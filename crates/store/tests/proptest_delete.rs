@@ -14,6 +14,9 @@
 //! Cuckoo-shard stores additionally match the oracle *exactly* after
 //! delete-then-reinsert cycles: deletes physically remove signatures, so a
 //! fully drained store answers negative for everything.
+//!
+//! The interleaved oracle test also pins the rebuild contract: an inline
+//! store behaves exactly like a queued twin drained after every call.
 
 use pof_bloom::{Addressing, BloomConfig};
 use pof_core::FilterConfig;
@@ -79,6 +82,57 @@ fn policy_for(index: usize) -> Arc<dyn RebuildPolicy> {
     }
 }
 
+/// An inline store and its queued twin (drained after every call) must be
+/// indistinguishable: same answers, same footprint, same lifecycle counts.
+fn assert_twins_agree(
+    inline: &ShardedFilterStore,
+    queued: &ShardedFilterStore,
+    probes: &[u32],
+    label: &str,
+) -> Result<(), TestCaseError> {
+    let (mut inline_sel, mut queued_sel) = (SelectionVector::new(), SelectionVector::new());
+    inline.contains_batch(probes, &mut inline_sel);
+    queued.contains_batch(probes, &mut queued_sel);
+    prop_assert_eq!(
+        inline_sel.as_slice(),
+        queued_sel.as_slice(),
+        "{}: selections",
+        label
+    );
+    prop_assert_eq!(
+        inline.size_bits(),
+        queued.size_bits(),
+        "{}: size_bits",
+        label
+    );
+    prop_assert_eq!(
+        inline.key_count(),
+        queued.key_count(),
+        "{}: key_count",
+        label
+    );
+    let (a, b) = (inline.stats(), queued.stats());
+    prop_assert_eq!(
+        a.total_rebuilds(),
+        b.total_rebuilds(),
+        "{}: rebuilds",
+        label
+    );
+    prop_assert_eq!(
+        a.total_tombstones(),
+        b.total_tombstones(),
+        "{}: tombstones",
+        label
+    );
+    prop_assert_eq!(
+        a.total_overflow(),
+        b.total_overflow(),
+        "{}: overflow",
+        label
+    );
+    Ok(())
+}
+
 /// Every oracle member must qualify through the batch read path.
 fn assert_no_false_negatives(store: &ShardedFilterStore, oracle: &HashSet<u32>, label: &str) {
     let members: Vec<u32> = oracle.iter().copied().collect();
@@ -107,15 +161,20 @@ proptest! {
         ),
     ) {
         let (config, delete_mode) = family;
-        let store = StoreBuilder::new()
-            .shards(1usize << shard_pow)
-            // Deliberately tiny: growth, drift and deferral all trigger.
-            .expected_keys(256)
-            .bits_per_key(16.0)
-            .config(config)
-            .rebuild_policy(policy_for(policy_index))
-            .bloom_deletes(delete_mode)
-            .build();
+        let build = |mode: RebuildMode| {
+            StoreBuilder::new()
+                .shards(1usize << shard_pow)
+                // Deliberately tiny: growth, drift and deferral all trigger.
+                .expected_keys(256)
+                .bits_per_key(16.0)
+                .config(config)
+                .rebuild_policy(policy_for(policy_index))
+                .bloom_deletes(delete_mode)
+                .rebuild_mode(mode)
+                .build()
+        };
+        let store = build(RebuildMode::Inline);
+        let twin = build(RebuildMode::Queued);
         let mut oracle: HashSet<u32> = HashSet::new();
         let label = format!("{} policy#{policy_index} {delete_mode:?}", config.label());
 
@@ -123,6 +182,7 @@ proptest! {
             match op % 4 {
                 0 => {
                     store.insert_batch(keys);
+                    twin.insert_batch(keys);
                     oracle.extend(keys.iter().copied());
                 }
                 1 => {
@@ -136,6 +196,7 @@ proptest! {
                     }
                     let removed = store.delete_batch(keys);
                     prop_assert_eq!(removed, expected, "{}: delete count", &label);
+                    prop_assert_eq!(twin.delete_batch(keys), expected, "{}: twin", &label);
                 }
                 2 => {
                     // Batch lookups: no member of the oracle that happens to
@@ -149,8 +210,11 @@ proptest! {
                 }
                 _ => {
                     store.maintain();
+                    twin.maintain();
                 }
             }
+            twin.run_pending_rebuilds(usize::MAX);
+            assert_twins_agree(&store, &twin, keys, &label)?;
             prop_assert_eq!(store.key_count(), oracle.len(), "{}: key_count", &label);
             if delete_mode == BloomDeleteMode::Counting {
                 // Counting shards delete in place; tombstones never appear.
@@ -160,6 +224,9 @@ proptest! {
         assert_no_false_negatives(&store, &oracle, &label);
         // And after a final fold/purge everything still holds.
         store.maintain();
+        twin.maintain();
+        let members: Vec<u32> = oracle.iter().copied().collect();
+        assert_twins_agree(&store, &twin, &members, &label)?;
         prop_assert_eq!(store.key_count(), oracle.len());
         assert_no_false_negatives(&store, &oracle, &label);
     }
