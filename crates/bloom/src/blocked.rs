@@ -16,6 +16,7 @@ use crate::staged;
 use pof_filter::probe::{self, ProbePlan};
 use pof_filter::{DeleteOutcome, Filter, FilterKind, SelectionVector};
 use pof_hash::Modulus;
+use std::ops::{Deref, DerefMut};
 
 /// Multiplier for the block-addressing hash (Knuth's constant).
 pub(crate) const BLOCK_HASH_C: u32 = 0x9E37_79B1;
@@ -42,12 +43,68 @@ pub(crate) fn next_bits(state: &mut u32, nbits: u32) -> u32 {
     *state >> (32 - nbits)
 }
 
+/// `u64` words per 64-byte cache line.
+const LINE_WORDS: usize = 8;
+
+/// A word array that starts on a 64-byte cache-line boundary, so no 512-bit
+/// block straddles two lines, wherever the allocator places the buffer. The
+/// buffer over-allocates by up to `LINE_WORDS - 1` words and the array
+/// starts at the first line boundary inside it; it derefs to exactly the
+/// logical words, padding excluded.
+#[derive(Debug)]
+struct LineAligned {
+    buf: Vec<u64>,
+    start: usize,
+}
+
+impl LineAligned {
+    /// A zeroed array of `len` words.
+    fn zeroed(len: usize) -> Self {
+        let mut buf = vec![0u64; len + LINE_WORDS - 1];
+        let start = Self::line_offset(buf.as_ptr());
+        buf.truncate(start + len);
+        Self { buf, start }
+    }
+
+    /// Words from `allocation` to the first line boundary at or after it.
+    fn line_offset(allocation: *const u64) -> usize {
+        let misalignment = allocation as usize % (LINE_WORDS * 8);
+        (LINE_WORDS * 8 - misalignment) % (LINE_WORDS * 8) / 8
+    }
+}
+
+impl Clone for LineAligned {
+    /// One copy of the words into a fresh aligned buffer, with no zero-fill
+    /// pass: only the (at most 7) padding words are written besides.
+    fn clone(&self) -> Self {
+        let mut buf = Vec::with_capacity(self.len() + LINE_WORDS - 1);
+        let start = Self::line_offset(buf.as_ptr());
+        buf.resize(start, 0);
+        buf.extend_from_slice(self);
+        Self { buf, start }
+    }
+}
+
+impl Deref for LineAligned {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.buf[self.start..]
+    }
+}
+
+impl DerefMut for LineAligned {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        &mut self.buf[self.start..]
+    }
+}
+
 /// A blocked Bloom filter (any of the four variants of Figure 12a).
 #[derive(Debug, Clone)]
 pub struct BlockedBloom {
     config: BloomConfig,
     modulus: Modulus,
-    data: Vec<u64>,
+    data: LineAligned,
     keys_inserted: u64,
     simd_kernel: simd::Kernel,
     /// Whether the staged (hash → prefetch → probe) kernel may serve large
@@ -82,7 +139,7 @@ impl BlockedBloom {
         Self {
             config,
             modulus,
-            data: vec![0u64; words],
+            data: LineAligned::zeroed(words),
             keys_inserted: 0,
             simd_kernel,
             staged_enabled: true,
@@ -208,15 +265,16 @@ impl BlockedBloom {
     /// Rebuild a filter from persisted raw parts. `m_bits` must be the
     /// granular size a previous instance reported via `Filter::size_bits`
     /// (the addressing round-up is idempotent, so re-deriving the layout
-    /// from it reproduces the original block count); `words` is the bit
-    /// array from [`Self::snapshot_words`]. Fails when the word count or
+    /// from it reproduces the original block count); `words` yields the bit
+    /// array from [`Self::snapshot_words`], written straight into the new
+    /// filter's cache-line-aligned array. Fails when the word count or
     /// sidecar width does not match the derived layout — the snapshot was
     /// written by a different configuration.
     pub fn restore(
         config: BloomConfig,
         m_bits: u64,
         keys_inserted: u64,
-        words: Vec<u64>,
+        words: impl ExactSizeIterator<Item = u64>,
         counting: Option<CountingSidecar>,
     ) -> Result<Self, &'static str> {
         let mut filter = Self::new(config, m_bits);
@@ -231,7 +289,9 @@ impl BlockedBloom {
                 return Err("counting sidecar width does not match the filter");
             }
         }
-        filter.data = words;
+        for (slot, word) in filter.data.iter_mut().zip(words) {
+            *slot = word;
+        }
         filter.keys_inserted = keys_inserted;
         filter.counting = counting.map(Box::new);
         Ok(filter)
@@ -391,7 +451,7 @@ impl BlockedBloom {
     /// current shard's slice is being probed.
     #[inline]
     pub fn prefetch_storage(&self) {
-        probe::prefetch_lines(&self.data);
+        probe::prefetch_lines(self.words());
     }
 }
 
@@ -765,6 +825,36 @@ mod tests {
         assert_eq!(clone.keys_inserted(), filter.keys_inserted());
         for key in keys.iter().copied().chain(gen.keys(4_000)) {
             assert_eq!(clone.contains(key), filter.contains(key));
+        }
+    }
+
+    /// The bit array starts on a cache line however it was made, so a
+    /// 512-bit block is one line, not two. Covers sizes past the allocator's
+    /// mmap threshold, where a plain `Vec<u64>` lands 16 bytes into a page.
+    #[test]
+    fn words_are_cache_line_aligned() {
+        let config = BloomConfig::cache_sectorized(512, 64, 2, 8, Addressing::PowerOfTwo);
+        let aligned = |filter: &BlockedBloom| (filter.words().as_ptr() as usize).is_multiple_of(64);
+        for m_bits in [512u64, 4_096, 1 << 16, 1 << 23, 12 << 23] {
+            let mut filter = BlockedBloom::new(config, m_bits);
+            for key in 0..1_000u32 {
+                filter.insert(key.wrapping_mul(2_654_435_769));
+            }
+            let restored = BlockedBloom::restore(
+                config,
+                filter.size_bits(),
+                filter.keys_inserted(),
+                filter.snapshot_words().iter().copied(),
+                None,
+            )
+            .expect("own words restore");
+            let clone = filter.clone();
+            let read_only = filter.read_only_clone();
+            for copy in [&filter, &clone, &read_only, &restored] {
+                assert!(aligned(copy), "{m_bits}-bit filter misaligned");
+                assert_eq!(copy.words(), filter.words());
+                assert_eq!(copy.words().len() as u64 * 64, filter.size_bits());
+            }
         }
     }
 

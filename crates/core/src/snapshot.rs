@@ -183,7 +183,10 @@ pub fn decode_filter(cur: &mut Cursor<'_>) -> Result<AnyFilter, CodecError> {
                 .map_err(|_| invalid("Bloom configuration"))?;
             let m_bits = cur.u64()?;
             let keys_inserted = cur.u64()?;
-            let words = cur.u64_words()?;
+            let words = cur
+                .u64_word_bytes()?
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")));
             let counting = decode_sidecar(cur, m_bits)?;
             BlockedBloom::restore(config, m_bits, keys_inserted, words, counting)
                 .map(AnyFilter::Bloom)

@@ -163,7 +163,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "can consume between 1 and 32 bits")]
     fn consume_zero_bits_panics_in_debug() {
         let mut bits = HashBits::new(0);
         let _ = bits.consume(0);

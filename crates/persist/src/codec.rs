@@ -156,11 +156,18 @@ impl<'a> Cursor<'a> {
             .collect())
     }
 
+    /// Read a length-prefixed `u64` word array (see [`put_u64_words`])
+    /// without copying it: the words' little-endian bytes, borrowed from the
+    /// payload, for a caller that decodes them straight into its own buffer.
+    pub fn u64_word_bytes(&mut self) -> Result<&'a [u8], CodecError> {
+        let count = self.len_prefix(8)?;
+        self.bytes(count * 8)
+    }
+
     /// Read a length-prefixed `u64` word array (see [`put_u64_words`]).
     pub fn u64_words(&mut self) -> Result<Vec<u64>, CodecError> {
-        let count = self.len_prefix(8)?;
-        let raw = self.bytes(count * 8)?;
-        Ok(raw
+        Ok(self
+            .u64_word_bytes()?
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
             .collect())
@@ -205,6 +212,14 @@ mod tests {
         assert_eq!(cur.u32_slice().unwrap(), vec![1, 2, 3]);
         assert_eq!(cur.u64_words().unwrap(), vec![u64::MAX, 0, 42]);
         assert_eq!(cur.byte_slice().unwrap(), b"sidecar");
+        cur.finish().unwrap();
+
+        let mut out = Vec::new();
+        put_u64_words(&mut out, &[7, u64::MAX]);
+        let mut cur = Cursor::new(&out);
+        let raw = cur.u64_word_bytes().unwrap();
+        assert_eq!(raw.len(), 16);
+        assert_eq!(raw[..8], 7u64.to_le_bytes());
         cur.finish().unwrap();
     }
 

@@ -9,7 +9,7 @@
 //! * **Snapshots** — a versioned, checksummed container
 //!   ([`SnapshotHeader`], [`write_snapshot`], [`Snapshot`]) whose payload is
 //!   plain little-endian pages (filter bit/bucket/fingerprint arrays plus the
-//!   `CompactKeySet` replay log), so a snapshot opens by `mmap` and the big
+//!   store's sorted live-key log), so a snapshot opens by `mmap` and the big
 //!   arrays stream straight out of the page cache instead of being
 //!   deserialized.
 //! * **Write-ahead log** — fixed-width per-record CRC'd segments

@@ -150,7 +150,7 @@ impl StoreBuilder {
 
     /// Select where rebuild jobs run. Every mode runs the same job: the
     /// writer records a pending-rebuild state and keeps serving, the job
-    /// builds the replacement off-lock from the shard's replay log,
+    /// builds the replacement off-lock from the shard's live key set,
     /// re-acquires the shard briefly to replay the bounded delta of writes
     /// that raced the build, and publishes the replacement with a single
     /// `Arc` swap; readers are wait-free throughout. With

@@ -1,76 +1,65 @@
-//! Compact writer-side key bookkeeping: one order-preserving set.
+//! Compact writer-side key bookkeeping: one copy of every live key.
 //!
-//! Each shard must remember every live key it holds, for two reasons: keys
-//! are replayed (in their original insertion order, which keeps Cuckoo
-//! rebuilds deterministic) whenever the shard's filter is rebuilt, and
+//! Each shard must remember every live key it holds, for two reasons: every
+//! rebuild of the shard's filter is built from the live key set, and
 //! duplicate inserts must be detected so the store keeps *set* semantics.
-//! The previous implementation paid for this twice over — a `Vec<u32>` for
-//! order plus a `HashSet<u32>` for O(1) dedup, roughly 3x the raw key bytes.
 //!
-//! [`CompactKeySet`] replaces the pair with a single structure at ~2x the raw
-//! key bytes: the authoritative insertion-ordered log, plus a *sorted run*
-//! over an indexed prefix of it. Membership is a binary search of the sorted
-//! run plus a linear scan of the short unindexed tail (the insertion-ordered
-//! append log); the tail is folded into the sorted run whenever it outgrows
-//! [`LOG_LIMIT`], and fully at every shard rebuild.
+//! [`CompactKeySet`] holds each key exactly once — a sorted run plus a short
+//! unsorted tail of recent inserts — so the bookkeeping costs one `u32` per
+//! live key. Membership is a binary search of the run plus a linear scan of
+//! the tail; the tail is folded into the run whenever it outgrows
+//! [`LOG_LIMIT`], and fully before anything reads the whole set. Rebuilds,
+//! checkpoints and key listings all read the folded run, so a rebuilt filter
+//! is a function of the key set alone, never of the order keys arrived in.
 
-/// Maximum length of the unindexed tail before it is folded into the sorted
-/// run. Bounds the linear-scan cost of a membership check; folding is
-/// amortized O(log n) per key (pdqsort on an almost-sorted buffer).
+/// Maximum length of the unsorted tail before it is folded into the sorted
+/// run. Bounds the linear-scan cost of a membership check. Each fold
+/// re-sorts the whole run, so folding costs O(n / `LOG_LIMIT`) per inserted
+/// key.
 const LOG_LIMIT: usize = 256;
 
-/// An order-preserving set of `u32` keys with compact bookkeeping.
+/// A set of `u32` keys, each held once.
 ///
-/// Invariants:
-/// * `ordered` holds every live key exactly once, in insertion order;
-/// * `sorted` is a sorted copy of `ordered[..indexed]`;
-/// * `ordered[indexed..]` (the append log) is at most [`LOG_LIMIT`] long
-///   between folds.
+/// Invariants: `sorted` is strictly ascending; `tail` holds no key of
+/// `sorted` and no key twice; `tail` is at most [`LOG_LIMIT`] long between
+/// folds.
 #[derive(Debug, Default)]
 pub(crate) struct CompactKeySet {
-    /// Authoritative key list, insertion order — the rebuild replay log.
-    ordered: Vec<u32>,
-    /// Sorted copy of `ordered[..indexed]`, binary-searched for dedup.
+    /// Folded keys, strictly ascending.
     sorted: Vec<u32>,
-    /// How many leading keys of `ordered` are covered by `sorted`.
-    indexed: usize,
+    /// Recent inserts not yet folded, unsorted.
+    tail: Vec<u32>,
 }
 
 impl CompactKeySet {
-    /// Create an empty set.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rebuild a set from a persisted insertion-ordered key log (assumed
-    /// duplicate-free — it is the `as_ordered_slice()` of a former set). The
-    /// whole log is indexed up front, so the restored set answers membership
-    /// without a tail scan and replays rebuilds in the original order.
-    pub(crate) fn from_ordered(ordered: Vec<u32>) -> Self {
-        let mut sorted = ordered.clone();
-        sorted.sort_unstable();
-        let indexed = ordered.len();
-        Self {
-            ordered,
-            sorted,
-            indexed,
+    /// Rebuild a set from a persisted key log in any order (sorting is linear
+    /// on an already sorted log). Returns `None` if the log repeats a key.
+    pub(crate) fn from_log(mut keys: Vec<u32>) -> Option<Self> {
+        keys.sort_unstable();
+        if keys.windows(2).any(|w| w[0] == w[1]) {
+            return None;
         }
+        Some(Self {
+            sorted: keys,
+            tail: Vec::new(),
+        })
     }
 
     /// Number of live keys.
     pub(crate) fn len(&self) -> usize {
-        self.ordered.len()
+        self.sorted.len() + self.tail.len()
     }
 
-    /// The live keys in insertion order (the rebuild replay log).
-    pub(crate) fn as_ordered_slice(&self) -> &[u32] {
-        &self.ordered
+    /// Fold the tail, then borrow every live key in ascending order.
+    pub(crate) fn folded(&mut self) -> &[u32] {
+        self.fold();
+        &self.sorted
     }
 
     /// Membership test: binary search of the sorted run, then a linear scan
-    /// of the bounded append log.
+    /// of the bounded tail.
     pub(crate) fn contains(&self, key: u32) -> bool {
-        self.sorted.binary_search(&key).is_ok() || self.ordered[self.indexed..].contains(&key)
+        self.sorted.binary_search(&key).is_ok() || self.tail.contains(&key)
     }
 
     /// Insert a key; returns `true` if it was not already present.
@@ -78,104 +67,61 @@ impl CompactKeySet {
         if self.contains(key) {
             return false;
         }
-        self.ordered.push(key);
-        if self.ordered.len() - self.indexed > LOG_LIMIT {
+        self.tail.push(key);
+        if self.tail.len() > LOG_LIMIT {
             self.fold();
         }
         true
     }
 
-    /// Insert a whole batch: every key not already present is appended to
-    /// the ordered log (in batch order, first occurrence wins) and the
-    /// sorted run is refolded once. Returns the number of fresh keys; the
-    /// new keys sit at `as_ordered_slice()[len_before..]`.
-    ///
-    /// One sort of the batch plus one refold of the run, instead of a
-    /// membership probe and a [`LOG_LIMIT`]-cadence refold per key — the
-    /// difference between O(n log n) and effectively quadratic work for a
-    /// multi-million-key cold-tier bulk load.
-    pub(crate) fn insert_bulk(&mut self, keys: &[u32]) -> usize {
-        if keys.len() <= LOG_LIMIT {
-            return keys.iter().filter(|&&key| self.insert(key)).count();
-        }
+    /// Insert a whole batch with one sort of the batch and one refold of the
+    /// run, instead of a membership probe and a [`LOG_LIMIT`]-cadence refold
+    /// per key — the difference between O(n log n) and effectively quadratic
+    /// work for a multi-million-key cold-tier bulk load. Returns the fresh
+    /// keys, ascending.
+    pub(crate) fn insert_bulk(&mut self, keys: &[u32]) -> Vec<u32> {
         self.fold();
-        // Distinct batch values not already in the sorted run.
-        let mut candidates: Vec<u32> = keys.to_vec();
-        candidates.sort_unstable();
-        candidates.dedup();
-        candidates.retain(|key| self.sorted.binary_search(key).is_err());
-        if candidates.is_empty() {
-            return 0;
-        }
-        // Append each fresh value to the ordered log at its first
-        // occurrence in the batch.
-        let mut taken = vec![false; candidates.len()];
-        let start = self.ordered.len();
-        for &key in keys {
-            if let Ok(position) = candidates.binary_search(&key) {
-                if !taken[position] {
-                    taken[position] = true;
-                    self.ordered.push(key);
-                }
-            }
-        }
-        // Refold: the run and the candidates are two sorted runs back to
-        // back, which pdqsort handles in near-linear time.
-        self.sorted.extend_from_slice(&candidates);
+        let mut fresh = keys.to_vec();
+        fresh.sort_unstable();
+        fresh.dedup();
+        fresh.retain(|key| self.sorted.binary_search(key).is_err());
+        self.sorted.extend_from_slice(&fresh);
         self.sorted.sort_unstable();
-        self.indexed = self.ordered.len();
-        self.ordered.len() - start
+        fresh
     }
 
-    /// Remove every key in `doomed` (a **sorted, deduplicated** slice; keys
-    /// not present are ignored).
-    ///
-    /// One compacting pass over the ordered log and one over the sorted run
-    /// — O(n + k·log k) for the whole batch, instead of an O(n) scan per
-    /// key. The insertion-ordered log has no per-key back-pointers (that
-    /// index is exactly the memory this structure exists to avoid), so
-    /// deletes are batch-first by design.
-    pub(crate) fn remove_sorted_batch(&mut self, doomed: &[u32]) {
-        debug_assert!(doomed.windows(2).all(|w| w[0] < w[1]), "must be sorted");
-        if doomed.is_empty() {
+    /// Remove every live key of `keys` (duplicates and absent keys are
+    /// ignored) with one compacting pass over the set. Returns the removed
+    /// keys, ascending.
+    pub(crate) fn remove_batch(&mut self, keys: &[u32]) -> Vec<u32> {
+        let mut removed: Vec<u32> = keys
+            .iter()
+            .copied()
+            .filter(|&key| self.contains(key))
+            .collect();
+        removed.sort_unstable();
+        removed.dedup();
+        if !removed.is_empty() {
+            let live = |key: &u32| removed.binary_search(key).is_err();
+            self.sorted.retain(live);
+            self.tail.retain(live);
+        }
+        removed
+    }
+
+    /// Fold the tail into the sorted run: append it and re-sort the whole run.
+    fn fold(&mut self) {
+        if self.tail.is_empty() {
             return;
         }
-        let indexed = self.indexed;
-        let mut surviving_prefix = 0;
-        let mut out = 0;
-        for read in 0..self.ordered.len() {
-            let key = self.ordered[read];
-            if doomed.binary_search(&key).is_ok() {
-                continue;
-            }
-            self.ordered[out] = key;
-            out += 1;
-            if read < indexed {
-                surviving_prefix += 1;
-            }
-        }
-        self.ordered.truncate(out);
-        self.indexed = surviving_prefix;
-        self.sorted.retain(|key| doomed.binary_search(key).is_err());
-    }
-
-    /// Fold the append log into the sorted run ("sorted-run dedup"): extend
-    /// with the tail and re-sort. The buffer is two sorted runs back to back,
-    /// which pdqsort handles in near-linear time.
-    pub(crate) fn fold(&mut self) {
-        if self.indexed == self.ordered.len() {
-            return;
-        }
-        self.sorted.extend_from_slice(&self.ordered[self.indexed..]);
+        self.sorted.append(&mut self.tail);
         self.sorted.sort_unstable();
-        self.indexed = self.ordered.len();
     }
 
-    /// Bytes of key payload held by the bookkeeping: the ordered log plus the
-    /// sorted run (at most ~2x the raw key bytes, vs ~3x for the former
-    /// `Vec<u32>` + `HashSet<u32>` pair). Excludes `Vec` growth slack.
+    /// Bytes of key payload held by the bookkeeping: one `u32` per live key.
+    /// Excludes `Vec` growth slack.
     pub(crate) fn bookkeeping_bytes(&self) -> usize {
-        (self.ordered.len() + self.sorted.len()) * std::mem::size_of::<u32>()
+        self.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -184,32 +130,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_is_set_semantics_and_preserves_order() {
-        let mut set = CompactKeySet::new();
-        let keys = [5u32, 3, 9, 3, 5, 7, 9, 1];
-        let mut fresh = 0;
-        for &key in &keys {
-            if set.insert(key) {
-                fresh += 1;
-            }
-        }
-        assert_eq!(fresh, 5);
-        assert_eq!(set.len(), 5);
-        assert_eq!(set.as_ordered_slice(), &[5, 3, 9, 7, 1]);
-        for &key in &[5u32, 3, 9, 7, 1] {
-            assert!(set.contains(key));
-        }
-        assert!(!set.contains(2));
-    }
-
-    #[test]
     fn dedup_spans_the_fold_boundary() {
         // Insert enough keys to force several folds, then re-insert every one
         // of them: all re-inserts must be rejected whether the key sits in
-        // the sorted run or in the unindexed tail.
-        let mut set = CompactKeySet::new();
+        // the sorted run or in the unsorted tail.
+        let mut set = CompactKeySet::default();
         let keys: Vec<u32> = (0..(LOG_LIMIT as u32 * 3 + 17))
-            .map(|i| i * 7 + 1)
+            .map(|i| (i * 7 + 1).wrapping_mul(2_654_435_769))
             .collect();
         for &key in &keys {
             assert!(set.insert(key));
@@ -217,80 +144,78 @@ mod tests {
         for &key in &keys {
             assert!(!set.insert(key), "duplicate accepted for {key}");
         }
+        assert!(!set.contains(2));
         assert_eq!(set.len(), keys.len());
-        assert_eq!(set.as_ordered_slice(), keys.as_slice());
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        assert_eq!(set.folded(), sorted.as_slice());
     }
 
     #[test]
     fn insert_bulk_agrees_with_per_key_inserts() {
-        // A batch with intra-batch duplicates, keys already resident (in
-        // both the sorted run and the unindexed tail), and fresh keys: the
-        // bulk path must leave exactly the state the per-key path would.
-        let mut bulk = CompactKeySet::new();
-        let mut per_key = CompactKeySet::new();
+        // Batches with intra-batch duplicates, keys already resident (in
+        // both the sorted run and the unsorted tail), and fresh keys: the
+        // bulk path must leave exactly the set the per-key path would.
+        let mut bulk = CompactKeySet::default();
+        let mut per_key = CompactKeySet::default();
         let resident: Vec<u32> = (0..(LOG_LIMIT as u32 + 40)).map(|i| i * 11).collect();
         for &key in &resident {
             bulk.insert(key);
             per_key.insert(key);
         }
-        let batch: Vec<u32> = (0..(LOG_LIMIT as u32 * 4))
+        let large: Vec<u32> = (0..(LOG_LIMIT as u32 * 4))
             .map(|i| i.wrapping_mul(2_654_435_769) % 7_000)
             .collect();
-        let fresh_bulk = bulk.insert_bulk(&batch);
-        let fresh_per_key = batch.iter().filter(|&&key| per_key.insert(key)).count();
-        assert_eq!(fresh_bulk, fresh_per_key);
-        assert_eq!(bulk.as_ordered_slice(), per_key.as_ordered_slice());
-        for &key in &batch {
-            assert!(bulk.contains(key));
-            assert!(!bulk.insert(key), "bulk-inserted {key} accepted again");
+        let small: Vec<u32> = (0..40u32).map(|i| 100_000 + i * 3).chain([7, 7]).collect();
+        for batch in [large, small] {
+            let fresh = bulk.insert_bulk(&batch);
+            let mut fresh_per_key: Vec<u32> = batch
+                .iter()
+                .copied()
+                .filter(|&key| per_key.insert(key))
+                .collect();
+            fresh_per_key.sort_unstable();
+            assert_eq!(fresh, fresh_per_key);
+            assert_eq!(bulk.folded(), per_key.folded());
+            for &key in &batch {
+                assert!(!bulk.insert(key), "bulk-inserted {key} accepted again");
+            }
         }
-        // A sub-LOG_LIMIT batch takes the per-key path; same agreement.
-        let small: Vec<u32> = (0..40u32).map(|i| 100_000 + i * 3).collect();
-        assert_eq!(bulk.insert_bulk(&small), small.len());
-        assert_eq!(
-            *bulk.as_ordered_slice().last().unwrap(),
-            *small.last().unwrap()
-        );
     }
 
     #[test]
-    fn remove_updates_order_index_and_membership() {
-        let mut set = CompactKeySet::new();
+    fn remove_batch_drops_live_keys_once() {
+        let mut set = CompactKeySet::default();
         let keys: Vec<u32> = (0..(LOG_LIMIT as u32 * 2)).map(|i| i * 3).collect();
         for &key in &keys {
             set.insert(key);
         }
-        // Remove from the indexed prefix and from the fresh tail in one
-        // batch; absent keys are ignored.
+        // Remove from the sorted run and from the fresh tail in one batch;
+        // duplicates count once, absent keys are ignored.
         set.insert(1_000_003); // tail key (just appended)
-        set.remove_sorted_batch(&[keys[0], 999_999, 1_000_003]);
+        let removed = set.remove_batch(&[1_000_003, keys[0], 999_999, keys[0]]);
+        assert_eq!(removed, vec![keys[0], 1_000_003]);
         assert!(!set.contains(keys[0]));
         assert!(!set.contains(1_000_003));
         assert_eq!(set.len(), keys.len() - 1);
         // A second batch with the same keys removes nothing further.
-        set.remove_sorted_batch(&[keys[0], 1_000_003]);
+        assert!(set.remove_batch(&[keys[0], 1_000_003]).is_empty());
         assert_eq!(set.len(), keys.len() - 1);
-        // Order of the survivors is untouched, and reinsert works.
-        assert_eq!(set.as_ordered_slice()[0], keys[1]);
+        // Reinsert works, and dedup still spans the whole structure.
         assert!(set.insert(keys[0]));
-        assert_eq!(*set.as_ordered_slice().last().unwrap(), keys[0]);
-        // Dedup still works across the whole structure after removals.
-        for &key in set.as_ordered_slice().to_vec().iter() {
+        for key in set.folded().to_vec() {
             assert!(!set.insert(key));
         }
     }
 
     #[test]
-    fn bookkeeping_stays_within_two_words_per_key() {
-        let mut set = CompactKeySet::new();
+    fn bookkeeping_is_one_word_per_key() {
+        let mut set = CompactKeySet::default();
         for key in 0..10_000u32 {
             set.insert(key.wrapping_mul(2_654_435_769));
+            // Exact before and after every fold.
+            assert_eq!(set.bookkeeping_bytes(), 4 * set.len());
         }
-        set.fold();
-        let bytes_per_key = set.bookkeeping_bytes() as f64 / set.len() as f64;
-        assert!(
-            bytes_per_key <= 8.0 + 1e-9,
-            "expected <= 8 bytes/key, got {bytes_per_key}"
-        );
+        assert_eq!(set.bookkeeping_bytes(), 4 * 10_000);
     }
 }

@@ -29,7 +29,7 @@
 //!   an exact side buffer (probed by readers, so nothing goes missing) and
 //!   folding them in on the next [`ShardedFilterStore::maintain`] call,
 //! * every rebuild is **one job**: the writer records a pending-rebuild
-//!   state, the job builds the replacement from the shard's replay log
+//!   state, the job builds the replacement from the shard's live key set
 //!   off-lock, re-acquires the shard briefly to replay the bounded delta of
 //!   writes that raced the build, and publishes it with a single `Arc`
 //!   swap. [`StoreBuilder::rebuild_mode`] picks who runs it: the write call
@@ -51,8 +51,9 @@
 //!   published snapshots never carry it), so tombstones stay at zero and a
 //!   delete-heavy Bloom store stops rebuilding altogether. No policy ever
 //!   loses a live key: the authoritative key bookkeeping lives on the write
-//!   side in a compact order-preserving key set (~2x raw key bytes: an
-//!   insertion-ordered replay log plus a sorted dedup run),
+//!   side in a compact key set holding each key once (one `u32` per live
+//!   key: a sorted run plus a short unsorted tail), and a rebuild's filter
+//!   is a function of that key set alone,
 //! * steady-state reads are **allocation-free**: a reader holding a
 //!   [`StoreSnapshot`] and a reusable [`ProbeScratch`] routes every batch
 //!   through [`StoreSnapshot::contains_batch_with`] without touching the

@@ -8,8 +8,7 @@
 //! The store's maintainer — the calling thread itself
 //! ([`RebuildMode::Inline`]), a worker thread, or an explicit queue — then
 //!
-//! 1. briefly locks the writer to snapshot the shard's
-//!    [`CompactKeySet`](crate::ShardedFilterStore) replay log
+//! 1. briefly locks the writer to snapshot the shard's live key set
 //!    ([`Shard::begin_rebuild`]), switching the writer into delta-logging
 //!    mode,
 //! 2. builds the replacement filter **off-lock** — readers keep probing the

@@ -74,9 +74,10 @@ fn build_shard_filter(
     filter
 }
 
-/// (Re)build a shard filter over a complete key set, returning the filter and
-/// the capacity it was sized for. Mutable families replay the keys in
-/// insertion order, growing geometrically until every key fits; immutable
+/// (Re)build a shard filter over a complete key set (ascending, so the
+/// filter is a function of the set alone), returning the filter and the
+/// capacity it was sized for. Mutable families insert the keys, growing
+/// geometrically until every key fits; immutable
 /// (fuse) families peel the whole set in one shot — their size follows from
 /// the key count, so the grow loop does not apply (and must not run: a fuse
 /// filter refuses incremental inserts, which would spin the loop forever).
@@ -215,7 +216,7 @@ pub(crate) struct RebuildPlan {
 
 impl RebuildPlan {
     /// Build the replacement filter — no locks held. Mirrors
-    /// [`ShardWriter::rebuild`]: replay in insertion order, grow
+    /// [`ShardWriter::rebuild`]: insert the folded key set, grow
     /// geometrically until every key fits.
     ///
     /// The build runs straight through rather than yielding between chunks:
@@ -241,12 +242,9 @@ impl RebuildPlan {
 pub(crate) struct ShardWriter {
     /// The filter being mutated. Cloned into a snapshot on publish.
     filter: AnyFilter,
-    /// Authoritative live-key bookkeeping: one compact order-preserving set
-    /// (insertion-ordered replay log + sorted dedup run) instead of the
-    /// former `Vec<u32>` + `HashSet<u32>` pair. Insertion order is preserved
-    /// because a Cuckoo filter's slot placement depends on insert order —
-    /// replaying in any other order would produce a different filter on
-    /// every rebuild.
+    /// Authoritative live-key bookkeeping: one `u32` per live key. Every
+    /// rebuild inserts the folded (ascending) set, so a rebuilt filter —
+    /// Cuckoo slot placement included — depends on the key set alone.
     keys: CompactKeySet,
     /// Keys diverted by a deferring policy: present in `keys`, *not* in
     /// `filter`. Sorted at every lock release so the publish path clones it
@@ -375,7 +373,7 @@ impl Shard {
         Self {
             writer: Mutex::new(ShardWriter {
                 filter,
-                keys: CompactKeySet::new(),
+                keys: CompactKeySet::default(),
                 overflow: Vec::new(),
                 overflow_dirty: false,
                 tombstones: 0,
@@ -433,21 +431,16 @@ impl Shard {
         let start = Instant::now();
         let mut writer = self.writer.lock().expect("writer lock poisoned");
         let fresh = if writer.config.immutable() && writer.pending.is_none() {
-            // Immutable bulk fast path: with no rebuild in flight there is
-            // nothing per-key to decide — the filter refuses in-place
-            // inserts, the policy is never consulted (the batch-end fold
-            // *is* the policy), and the delta log is inactive. Register the
-            // batch in the bookkeeping in one pass and park every fresh key;
-            // routing each key through `insert_one` instead pays a
-            // membership refold and a sorted-insert memmove per key —
-            // quadratic over a cold-tier bulk load of millions of keys.
-            let start_len = writer.keys.len();
+            // Immutable bulk fast path: with no rebuild in flight the filter
+            // refuses in-place inserts, the batch-end fold *is* the policy,
+            // and the delta log is inactive — so register the batch with one
+            // sort and park every fresh key, instead of a membership probe
+            // and a cadenced refold per key through `insert_one`.
             let fresh = writer.keys.insert_bulk(keys);
-            for index in start_len..start_len + fresh {
-                let key = writer.keys.as_ordered_slice()[index];
+            for &key in &fresh {
                 writer.defer(key);
             }
-            fresh
+            fresh.len()
         } else {
             let mut fresh = 0usize;
             for &key in keys {
@@ -597,9 +590,8 @@ impl Shard {
             Some(target) => (target.config, target.bits_per_key, target.counting),
             None => (writer.config, writer.bits_per_key, writer.counting),
         };
-        writer.keys.fold();
         Some(RebuildPlan {
-            keys: writer.keys.as_ordered_slice().to_vec(),
+            keys: writer.keys.folded().to_vec(),
             capacity,
             config,
             bits_per_key,
@@ -745,13 +737,13 @@ impl Shard {
         }
     }
 
-    /// Copy of this shard's authoritative live-key list (insertion order).
+    /// Copy of this shard's authoritative live-key list, ascending.
     pub(crate) fn keys(&self) -> Vec<u32> {
         self.writer
             .lock()
             .expect("writer lock poisoned")
             .keys
-            .as_ordered_slice()
+            .folded()
             .to_vec()
     }
 
@@ -779,7 +771,7 @@ impl Shard {
     }
 
     /// Serialize this shard's complete write-side state — filter (with its
-    /// counting sidecar, if any), insertion-ordered key log, overflow
+    /// counting sidecar, if any), ascending key log, overflow
     /// buffer, and lifecycle counters — under one writer lock, so the
     /// payload is a single consistent cut. Plain little-endian throughout:
     /// the snapshot file this lands in opens by `mmap` and decodes without
@@ -794,17 +786,17 @@ impl Shard {
         put_u64(out, writer.rebuilds);
         put_u64(out, writer.migrations);
         pof_core::encode_filter(&writer.filter, out);
-        put_u32_slice(out, writer.keys.as_ordered_slice());
+        put_u32_slice(out, writer.keys.folded());
         put_u32_slice(out, &writer.overflow);
     }
 
     /// Rebuild a shard from a payload written by [`Shard::encode_state`].
     /// The filter configuration travels inside the filter codec; the policy
     /// is a runtime choice supplied by the opening store, not persisted
-    /// state. The key log restores in its original insertion order, so
-    /// post-recovery rebuilds replay exactly the
-    /// sequence the pre-crash shard would have — Cuckoo rebuilds stay
-    /// deterministic across a crash.
+    /// state. The key log may arrive in any order (it is sorted on decode)
+    /// but must not repeat a key; since a rebuild's filter is a function of
+    /// the key set alone, post-recovery rebuilds reproduce exactly the
+    /// filters the pre-crash shard would have built.
     pub(crate) fn decode_state(
         cursor: &mut Cursor<'_>,
         policy: Arc<dyn RebuildPolicy>,
@@ -818,7 +810,8 @@ impl Shard {
         let rebuilds = cursor.u64()?;
         let migrations = cursor.u64()?;
         let filter = pof_core::decode_filter(cursor)?;
-        let ordered = cursor.u32_slice()?;
+        let keys = CompactKeySet::from_log(cursor.u32_slice()?)
+            .ok_or(CodecError::Invalid("shard key log repeats a key"))?;
         let overflow = cursor.u32_slice()?;
         if !overflow.windows(2).all(|w| w[0] < w[1]) {
             return Err(CodecError::Invalid("shard overflow buffer not sorted"));
@@ -833,7 +826,7 @@ impl Shard {
         Ok(Self {
             writer: Mutex::new(ShardWriter {
                 filter,
-                keys: CompactKeySet::from_ordered(ordered),
+                keys,
                 overflow,
                 overflow_dirty: false,
                 tombstones,
@@ -1098,34 +1091,18 @@ impl ShardWriter {
     /// could tell (tombstone-only deletes leave the published state
     /// bit-identical).
     fn delete_many(&mut self, keys: &[u32]) -> (usize, bool) {
-        // Dedup the batch down to live keys (one O(log n) probe each): a key
-        // listed twice is removed once, absent keys are no-ops.
-        let mut doomed: Vec<u32> = keys
-            .iter()
-            .copied()
-            .filter(|&key| self.keys.contains(key))
-            .collect();
-        doomed.sort_unstable();
-        doomed.dedup();
+        // A key listed twice is removed once, absent keys are no-ops.
+        let doomed = self.keys.remove_batch(keys);
         if doomed.is_empty() {
             return (0, false);
         }
-        // One compacting pass over the bookkeeping for the whole batch.
-        self.keys.remove_sorted_batch(&doomed);
-        // Keys parked in the overflow buffer were never in the filter: drop
-        // them from the buffer and skip the filter delete.
-        let from_overflow: Vec<u32> = self
-            .overflow
-            .iter()
-            .copied()
-            .filter(|key| doomed.binary_search(key).is_ok())
-            .collect();
-        let mut observable = !from_overflow.is_empty();
-        self.overflow
-            .retain(|key| doomed.binary_search(key).is_err());
+        let mut observable = false;
         for &key in &doomed {
             self.log_delta(DeltaOp::Delete(key));
-            if from_overflow.binary_search(&key).is_ok() {
+            // Keys parked in the overflow buffer were never in the filter:
+            // skip the filter delete (the buffer drops them below).
+            if self.overflow.binary_search(&key).is_ok() {
+                observable = true;
                 continue;
             }
             match self.filter.try_delete(key) {
@@ -1141,6 +1118,8 @@ impl ShardWriter {
                 DeleteOutcome::NotFound => {}
             }
         }
+        self.overflow
+            .retain(|key| doomed.binary_search(key).is_err());
         (doomed.len(), observable)
     }
 
@@ -1154,17 +1133,7 @@ impl ShardWriter {
     /// key set either way, so replaying the delete into its replacement is
     /// membership-equivalent.
     fn shadow_delete_many(&mut self, keys: &[u32]) -> usize {
-        let mut doomed: Vec<u32> = keys
-            .iter()
-            .copied()
-            .filter(|&key| self.keys.contains(key))
-            .collect();
-        doomed.sort_unstable();
-        doomed.dedup();
-        if doomed.is_empty() {
-            return 0;
-        }
-        self.keys.remove_sorted_batch(&doomed);
+        let doomed = self.keys.remove_batch(keys);
         for &key in &doomed {
             self.log_delta(DeltaOp::Delete(key));
             // An overflow-parked key leaves no filter bits behind — only
@@ -1223,17 +1192,16 @@ impl ShardWriter {
     /// under the lock — the one path for immediate urgency and backpressure
     /// — and book the stall against the write call paying for it.
     ///
-    /// Live keys are replayed (in insertion order) into the fresh filter;
-    /// the overflow buffer folds in and tombstones are purged. The filter
+    /// The folded live key set is inserted into the fresh filter; the
+    /// overflow buffer folds in and tombstones are purged. The filter
     /// replaces the write side only — readers keep the previous snapshot
     /// until the caller publishes.
     fn rebuild(&mut self, capacity: usize) {
         let start = Instant::now();
         let capacity = capacity.max(64);
-        self.keys.fold();
         let (filter, grown) = build_populated_filter(
             &self.config,
-            self.keys.as_ordered_slice(),
+            self.keys.folded(),
             capacity,
             self.bits_per_key,
             self.counting,
@@ -1558,8 +1526,8 @@ mod tests {
             assert_eq!(after.tombstones, before.tombstones);
             assert_eq!(after.overflow, before.overflow);
             // The restored shard is a live shard: inserts and deletes keep
-            // working, and the replay log restored in order (a rebuild
-            // reproduces a working filter).
+            // working, and a rebuild from the restored key set reproduces a
+            // working filter.
             let more: Vec<u32> = (0..100u32).map(|i| 900_000 + i * 3).collect();
             run(&restored, restored.insert_batch(&more));
             let (removed, ticket) = restored.delete_batch(&keys[120..160]);
@@ -1591,5 +1559,37 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A key log that repeats a key is corrupt: accepting it would hand a
+    /// Cuckoo rebuild more than `2·b` copies of one fingerprint, which fit
+    /// at no capacity. An unsorted log of distinct keys is a valid set.
+    #[test]
+    fn decode_rejects_a_key_log_that_repeats_a_key() {
+        let source = shard(bloom_config(), BloomDeleteMode::Tombstone);
+        run(&source, source.insert_batch(&[2, 7, 51, 900]));
+        let mut prefix = Vec::new();
+        source.encode_state(&mut prefix);
+        // Cut the trailing key log (4 keys) and empty overflow buffer, then
+        // append hand-built ones.
+        prefix.truncate(prefix.len() - (8 + 4 * 4) - 8);
+        let decode = |keys: &[u32]| {
+            let mut payload = prefix.clone();
+            put_u32_slice(&mut payload, keys);
+            put_u32_slice(&mut payload, &[]);
+            let mut cursor = Cursor::new(&payload);
+            Shard::decode_state(&mut cursor, Arc::new(SaturationDoubling))
+        };
+        assert!(matches!(decode(&[7, 7]), Err(CodecError::Invalid(_))));
+        assert!(matches!(decode(&[3, 9, 3]), Err(CodecError::Invalid(_))));
+        let restored = decode(&[900, 2, 51, 7]).expect("distinct keys decode");
+        assert_eq!(restored.keys(), vec![2, 7, 51, 900]);
+        let snapshot = restored.load();
+        for key in [900, 2, 51, 7] {
+            assert!(snapshot.contains(key), "restored shard lost {key}");
+        }
+        // The restored set still deduplicates.
+        run(&restored, restored.insert_batch(&[51, 8]));
+        assert_eq!(restored.key_count(), 5);
     }
 }

@@ -59,8 +59,8 @@ pub struct ShardStats {
     /// Keys parked in the shard's exact overflow side buffer by a deferring
     /// policy, awaiting the next maintenance fold.
     pub overflow: u64,
-    /// Writer-side bookkeeping bytes (the compact key set's ordered log plus
-    /// sorted run — at most ~2x the raw key bytes).
+    /// Writer-side bookkeeping bytes: the compact key set holds each live
+    /// key once, so this is exactly 4 bytes per live key.
     pub bookkeeping_bytes: u64,
     /// Heap bytes of the shard's Bloom counting sidecar
     /// ([`BloomDeleteMode::Counting`](crate::BloomDeleteMode) — 4 bits per

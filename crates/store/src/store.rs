@@ -746,8 +746,8 @@ impl ShardedFilterStore {
         self.shards.iter().map(Shard::key_count).sum()
     }
 
-    /// Copy of the store's authoritative live key set, shard by shard in
-    /// per-shard insertion order.
+    /// Copy of the store's authoritative live key set, shard by shard, each
+    /// shard's keys ascending.
     ///
     /// This reads the exact write-side bookkeeping, not the filters: deleted
     /// keys are absent even while their bits linger as tombstones, and keys
@@ -1720,21 +1720,14 @@ mod tests {
 
     #[test]
     fn writer_bookkeeping_is_compact() {
-        // The acceptance bar for the compact key set: at most ~2x the raw
-        // key bytes per shard (ordered log + sorted run), where the former
-        // Vec + HashSet pair paid ~3x.
+        // The compact key set holds each live key once: exactly the raw key
+        // bytes.
         let mut gen = KeyGen::new(313);
         let keys = gen.distinct_keys(64_000);
         let store = ShardedFilterStore::new(bloom_config(), 4, 8_000, 12.0);
         store.insert_batch(&keys);
         let stats = store.stats();
-        let raw_bytes = 4 * keys.len() as u64;
-        let bookkeeping = stats.total_bookkeeping_bytes();
-        assert!(
-            bookkeeping <= raw_bytes * 2,
-            "bookkeeping {bookkeeping} bytes exceeds 2x raw key bytes {raw_bytes}"
-        );
-        assert!(bookkeeping >= raw_bytes, "accounting undercounts");
+        assert_eq!(stats.total_bookkeeping_bytes(), 4 * keys.len() as u64);
     }
 
     fn hot_churny_spec() -> LevelSpec {

@@ -59,8 +59,9 @@ proptest! {
         store.insert_batch(&keys);
 
         // The oracle replays the exact same build: same capacity-based
-        // sizing, same growth schedule (the store doubles from `capacity`
-        // whenever the key count passes it or a Cuckoo insert fails).
+        // sizing, same growth schedule (one rebuild of the sorted key set
+        // from twice `capacity` once the batch overflows it or a Cuckoo
+        // insert fails).
         let oracle = oracle_for(&config, &keys, capacity);
 
         let mut store_sel = SelectionVector::new();
@@ -126,17 +127,32 @@ proptest! {
     }
 }
 
-/// Replay the store's shard-growth schedule on a bare `AnyFilter`: start at
-/// `capacity`, double whenever the key count outgrows it or an insert fails,
-/// rebuilding from scratch each time (mirrors `pof-store`'s shard writer).
+/// Replay the store's shard-growth schedule on a bare `AnyFilter`: a batch
+/// that fits the initial `capacity` lands in batch order; otherwise the
+/// first key past capacity (or the first refused insert) requests one
+/// rebuild, which inserts the whole key set ascending from twice the
+/// capacity, doubling until every key fits (mirrors `pof-store`'s shard
+/// writer).
 fn oracle_for(config: &FilterConfig, keys: &[u32], capacity: usize) -> AnyFilter {
-    let mut capacity = capacity.max(64);
-    'retry: loop {
+    let capacity = capacity.max(64);
+    if keys.len() <= capacity {
         let mut filter = AnyFilter::build(config, capacity, 20.0);
-        for (inserted, &key) in keys.iter().enumerate() {
-            if inserted + 1 > capacity || !filter.insert(key) {
+        if keys.iter().all(|&key| filter.insert(key)) {
+            return filter;
+        }
+    }
+    let mut sorted = keys.to_vec();
+    sorted.sort_unstable();
+    let mut capacity = capacity * 2;
+    while capacity < sorted.len() {
+        capacity *= 2;
+    }
+    'grow: loop {
+        let mut filter = AnyFilter::build(config, capacity, 20.0);
+        for &key in &sorted {
+            if !filter.insert(key) {
                 capacity *= 2;
-                continue 'retry;
+                continue 'grow;
             }
         }
         return filter;
